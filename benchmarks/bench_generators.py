@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clustering.cluster import split_candidates
 from repro.labeling.distance import RepositoryDistanceOracle
 from repro.mapping.astar import AStarGenerator
 from repro.mapping.beam import BeamSearchGenerator
@@ -35,11 +36,11 @@ def cluster_problems(bench_workload, bench_config):
     clustering = clusterer.cluster(bench_workload.candidates, bench_workload.repository)
     oracle = RepositoryDistanceOracle(bench_workload.repository)
     problems = []
-    for cluster in clustering.clusters.useful_clusters(bench_workload.candidates):
+    for cluster, table in split_candidates(clustering.clusters, bench_workload.candidates).useful():
         problems.append(
             MappingProblem(
                 personal_schema=bench_workload.personal_schema,
-                candidates=cluster.restricted_candidates(bench_workload.candidates),
+                candidates=table,
                 oracle=oracle,
                 objective=bench_config.objective(),
                 delta=bench_config.delta,

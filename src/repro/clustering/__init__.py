@@ -12,7 +12,7 @@ repository tree is one cluster, i.e. non-clustered matching) and an offline
 fragment-based baseline in the spirit of Rahm et al.'s fragment matching.
 """
 
-from repro.clustering.cluster import Cluster, ClusterSet
+from repro.clustering.cluster import CandidateSplit, Cluster, ClusterSet, split_candidates
 from repro.clustering.distance import BlendedDistance, ClusteringDistance, PathLengthDistance
 from repro.clustering.initialization import (
     CentroidInitializer,
@@ -34,6 +34,7 @@ from repro.clustering.quality import cluster_quality, order_clusters_by_quality
 
 __all__ = [
     "BlendedDistance",
+    "CandidateSplit",
     "CentroidInitializer",
     "Cluster",
     "ClusterSet",
@@ -57,4 +58,5 @@ __all__ = [
     "TreeClusterer",
     "cluster_quality",
     "order_clusters_by_quality",
+    "split_candidates",
 ]

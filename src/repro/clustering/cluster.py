@@ -9,8 +9,9 @@ schema node — only useful clusters can produce complete schema mappings
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ClusteringError
 from repro.matchers.selection import MappingElement, MappingElementSets
@@ -68,17 +69,16 @@ class Cluster:
             )
         self.members.add(member)
 
-    def mapping_elements(self, candidates: MappingElementSets) -> List[MappingElement]:
-        """All mapping elements (personal node, repository node) falling in this cluster."""
-        member_ids = self.member_global_ids()
-        return [element for element in candidates.iter_all_elements() if element.ref.global_id in member_ids]
-
     def mapping_element_count(self, candidates: MappingElementSets) -> int:
         """Number of mapping elements in the cluster (Fig. 4's cluster size)."""
-        return len(self.mapping_elements(candidates))
+        return self.restricted_candidates(candidates).total()
 
     def restricted_candidates(self, candidates: MappingElementSets) -> MappingElementSets:
-        """The candidate sets restricted to this cluster's members."""
+        """The candidate sets restricted to this cluster's members.
+
+        One scan of the whole table per call: fine for one cluster, but loops
+        over many clusters go through :func:`split_candidates` instead.
+        """
         return candidates.restrict_to_refs(self.member_global_ids())
 
     def is_useful(self, candidates: MappingElementSets) -> bool:
@@ -90,6 +90,65 @@ class Cluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cluster(id={self.cluster_id}, tree={self.tree_id}, size={self.size})"
+
+
+@dataclass(frozen=True)
+class CandidateSplit:
+    """One candidate table divided among a sequence of clusters.
+
+    Entry ``i`` of each list belongs to ``clusters[i]``: ``counts`` holds the
+    number of mapping elements falling in the cluster (Fig. 4's cluster size)
+    and ``tables`` the cluster's restricted candidate table when the cluster
+    is useful, ``None`` otherwise.
+    """
+
+    clusters: List[Cluster]
+    counts: List[int]
+    tables: List[Optional[MappingElementSets]]
+
+    def useful(self) -> List[Tuple[Cluster, MappingElementSets]]:
+        """The useful clusters with their tables, in cluster order."""
+        pairs = zip(self.clusters, self.tables)
+        return [(cluster, table) for cluster, table in pairs if table is not None]
+
+
+def split_candidates(clusters: Iterable[Cluster], candidates: MappingElementSets) -> CandidateSplit:
+    """Divide ``candidates`` among ``clusters`` in one pass over the table.
+
+    Each member's global id is mapped to the indexes of the clusters holding
+    it, then every mapping element is appended to the bucket of each of those
+    clusters — O(cluster members + mapping elements) instead of one scan of
+    the whole table per cluster.  A useful cluster's table equals
+    ``cluster.restricted_candidates(candidates)``: the same personal nodes in
+    the same order, the same elements in the same order within each node,
+    and a repository node held by several clusters goes to each of them.
+    Clusters missing a candidate for some personal node get no table.
+    """
+    clusters = list(clusters)
+    owners: Dict[int, List[int]] = {}
+    for index, cluster in enumerate(clusters):
+        for global_id in cluster.member_global_ids():
+            owners.setdefault(global_id, []).append(index)
+    counts = [0] * len(clusters)
+    per_node: List[Tuple[int, Dict[int, List[MappingElement]]]] = []
+    for node_id, elements in candidates:
+        buckets: Dict[int, List[MappingElement]] = defaultdict(list)
+        for element in elements:
+            for index in owners.get(element.ref.global_id, ()):
+                buckets[index].append(element)
+        for index, bucket in buckets.items():
+            counts[index] += len(bucket)
+        per_node.append((node_id, buckets))
+    tables: List[Optional[MappingElementSets]] = [None] * len(clusters)
+    # A useful cluster has a bucket under every personal node, so the node
+    # reaching the fewest clusters names all the candidates.
+    fewest = min((buckets for _, buckets in per_node), key=len)
+    for index in fewest:
+        if all(index in buckets for _, buckets in per_node):
+            tables[index] = MappingElementSets.from_filtered(
+                {node_id: buckets[index] for node_id, buckets in per_node}
+            )
+    return CandidateSplit(clusters=clusters, counts=counts, tables=tables)
 
 
 def clusters_from_groups(grouped: Dict[tuple, Set[RepositoryNodeRef]]) -> ClusterSet:
@@ -144,14 +203,14 @@ class ClusterSet:
 
     def useful_clusters(self, candidates: MappingElementSets) -> List[Cluster]:
         """Clusters able to produce complete mappings for the given candidates."""
-        return [cluster for cluster in self._clusters if cluster.is_useful(candidates)]
+        return [cluster for cluster, _ in split_candidates(self._clusters, candidates).useful()]
 
     def sizes(self) -> List[int]:
         return [cluster.size for cluster in self._clusters]
 
     def mapping_element_sizes(self, candidates: MappingElementSets) -> List[int]:
         """Cluster sizes measured in mapping elements (the unit of Fig. 4)."""
-        return [cluster.mapping_element_count(candidates) for cluster in self._clusters]
+        return split_candidates(self._clusters, candidates).counts
 
     def total_members(self) -> int:
         return sum(cluster.size for cluster in self._clusters)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.clustering.cluster import Cluster
+from repro.clustering.cluster import Cluster, split_candidates
 from repro.matchers.selection import MappingElementSets
 from repro.objective.bellflower import BellflowerObjective
 
@@ -28,8 +28,14 @@ def cluster_quality(
 
     Non-useful clusters (missing a candidate for some personal node) score 0.
     """
-    restricted = cluster.restricted_candidates(candidates)
-    if not restricted.is_complete():
+    return _table_quality(cluster.restricted_candidates(candidates), objective)
+
+
+def _table_quality(
+    restricted: Optional[MappingElementSets], objective: Optional[BellflowerObjective]
+) -> float:
+    """:func:`cluster_quality` of one cluster's restricted table (``None``: not useful)."""
+    if restricted is None or not restricted.is_complete():
         return 0.0
     best_per_node = []
     for node_id, elements in restricted:
@@ -46,6 +52,10 @@ def order_clusters_by_quality(
     objective: Optional[BellflowerObjective] = None,
 ) -> List[Tuple[Cluster, float]]:
     """Clusters paired with their quality, best first (deterministic tie-break)."""
-    scored = [(cluster, cluster_quality(cluster, candidates, objective)) for cluster in clusters]
+    split = split_candidates(clusters, candidates)
+    scored = [
+        (cluster, _table_quality(table, objective))
+        for cluster, table in zip(split.clusters, split.tables)
+    ]
     scored.sort(key=lambda pair: (-pair[1], pair[0].cluster_id))
     return scored

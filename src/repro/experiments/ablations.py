@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.clustering.cluster import split_candidates
 from repro.clustering.convergence import RelaxedConvergence
 from repro.clustering.distance import BlendedDistance, PathLengthDistance
 from repro.clustering.initialization import MEminInitializer, PerTreeInitializer, RandomInitializer
@@ -190,7 +191,9 @@ def run_cluster_ordering_ablation(
     objective = config.objective()
     generator = BranchAndBoundGenerator()
 
-    useful = clustering.clusters.useful_clusters(workload.candidates)
+    useful_tables = split_candidates(clustering.clusters, workload.candidates).useful()
+    tables = {cluster.cluster_id: table for cluster, table in useful_tables}
+    useful = [cluster for cluster, _ in useful_tables]
     ordered = [cluster for cluster, _ in order_clusters_by_quality(useful, workload.candidates, objective)]
     arbitrary = sorted(useful, key=lambda cluster: cluster.cluster_id)
 
@@ -201,7 +204,7 @@ def run_cluster_ordering_ablation(
         for cluster in clusters:
             problem = MappingProblem(
                 personal_schema=workload.personal_schema,
-                candidates=cluster.restricted_candidates(workload.candidates),
+                candidates=tables[cluster.cluster_id],
                 oracle=oracle,
                 objective=objective,
                 delta=config.delta,

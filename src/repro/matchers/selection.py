@@ -97,21 +97,37 @@ class MappingElementSets:
         """
         return min(self._sets, key=lambda node_id: (len(self._sets[node_id]), node_id))
 
+    @classmethod
+    def from_filtered(cls, sets: Dict[int, List[MappingElement]]) -> "MappingElementSets":
+        """Wrap per-node lists filtered out of an existing collection.
+
+        ``sets`` must hold every personal node of the source collection, in
+        its order, and each list must keep a subset of that node's elements in
+        their original order.  Such elements are already validated and
+        ordered, so they are neither re-checked nor copied: the lists are
+        adopted as they are.
+        """
+        filtered = cls.__new__(cls)
+        filtered._sets = sets
+        return filtered
+
     def restrict_to_refs(self, global_ids: Set[int]) -> "MappingElementSets":
         """A copy containing only mapping elements whose repository node is in ``global_ids``.
 
-        The mapping generator calls this once per cluster: the cluster's member
-        set restricts the candidate lists.  The copy is built by filtering the
-        already-validated, already-ordered internal lists directly — elements
-        this collection holds need no re-validation, and filtering preserves
-        their order.
+        Filtering keeps each node's elements in their order.  One call scans
+        the whole table, so this is the single-cluster path
+        (:meth:`Cluster.restricted_candidates
+        <repro.clustering.cluster.Cluster.restricted_candidates>`) and the
+        reference the tests hold :func:`~repro.clustering.cluster.split_candidates`
+        to; the mapping generator and every other loop over many clusters
+        split the table once instead of calling this per cluster.
         """
-        restricted = MappingElementSets.__new__(MappingElementSets)
-        restricted._sets = {
-            node_id: [element for element in elements if element.ref.global_id in global_ids]
-            for node_id, elements in self._sets.items()
-        }
-        return restricted
+        return MappingElementSets.from_filtered(
+            {
+                node_id: [element for element in elements if element.ref.global_id in global_ids]
+                for node_id, elements in self._sets.items()
+            }
+        )
 
     def is_complete(self) -> bool:
         """True when every personal node has at least one candidate (a *useful* set)."""

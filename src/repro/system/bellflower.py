@@ -26,6 +26,7 @@ from repro.api.envelope import PROTOCOL_VERSION
 from repro.api.matcher import MatcherAPIMixin
 from repro.api.validation import validate_query, validate_top_k
 from repro.clustering.baselines import TreeClusterer
+from repro.clustering.cluster import split_candidates
 from repro.clustering.kmeans import Clusterer, ClusteringResult
 from repro.errors import ConfigurationError
 from repro.labeling.distance import RepositoryDistanceOracle
@@ -147,13 +148,16 @@ class Bellflower(MatcherAPIMixin):
     ) -> tuple[GenerationResult, List[ClusterReport]]:
         """Search every useful cluster and merge the per-cluster results.
 
-        The per-cluster searches are independent (each gets its own restricted
-        candidate sets and its own result object); when an ``executor`` is
-        configured they are dispatched through it and gathered back *in
-        cluster order*, so mappings, counters and reports are bit-identical to
-        the serial path.  With an executor, ``elapsed_seconds`` remains the
-        sum of per-cluster search times (CPU time), which can exceed the
-        wall-clock ``generation`` stage timer.
+        The candidate table is divided among all clusters in one pass
+        (:func:`~repro.clustering.cluster.split_candidates`); only the useful
+        clusters get a restricted table and a search.  The per-cluster
+        searches are independent (each gets its own restricted candidate sets
+        and its own result object); when an ``executor`` is configured they
+        are dispatched through it and gathered back *in cluster order*, so
+        mappings, counters and reports are bit-identical to the serial path.
+        With an executor, ``elapsed_seconds`` remains the sum of per-cluster
+        search times (CPU time), which can exceed the wall-clock
+        ``generation`` stage timer.
 
         ``top_k`` restricts the search to the ``k`` best mappings overall: the
         per-cluster problems then share one
@@ -184,10 +188,7 @@ class Bellflower(MatcherAPIMixin):
         merged = GenerationResult()
         reports: List[ClusterReport] = []
         problems: List[MappingProblem] = []
-        for cluster in clustering.clusters:
-            restricted = cluster.restricted_candidates(candidates)
-            if not restricted.is_complete():
-                continue
+        for cluster, restricted in split_candidates(clustering.clusters, candidates).useful():
             problems.append(
                 MappingProblem(
                     personal_schema=personal_schema,
