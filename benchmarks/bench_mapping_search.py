@@ -23,12 +23,13 @@ baseline, which maximizes the number of independent per-cluster searches):
 ``process executor``
     Complete-search wall clock under :class:`~repro.utils.executor.ProcessPoolTaskExecutor`
     vs the serial baseline, in two flavours: plain (every task unpickles its
-    payload, oracle included) and shared-memory (the repository is published
-    via :mod:`repro.service.sharedmem`, so task pickles collapse to a segment
-    name and workers attach once).  ``--min-process-speedup`` gates the
-    shared-memory flavour — the gate is skipped (and recorded as such) on
-    single-core machines, where a process pool cannot win by construction.
-    Both flavours must stay bit-identical to serial, counters included.
+    payload, oracle included) and frozen (the repository is frozen to a
+    temporary snapshot and served from it, so each task's oracle pickles to a
+    path and workers reopen the mapped file once).  ``--min-process-speedup``
+    gates the frozen flavour — the gate is skipped (and recorded as such)
+    when the process may run on one CPU only, where a process pool cannot win
+    by construction.  Both flavours must stay bit-identical to serial,
+    counters included.
 
 Run from the repository root::
 
@@ -41,14 +42,20 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.service.service import MatchingService
+from repro.service import MatchingService, load_snapshot
+from repro.storage import freeze_service
 from repro.system.bellflower import Bellflower
-from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
+from repro.utils.executor import (
+    ProcessPoolTaskExecutor,
+    ThreadPoolTaskExecutor,
+    available_cpu_count,
+)
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
@@ -106,7 +113,7 @@ def main(argv=None) -> int:
         "--min-process-speedup",
         type=float,
         default=1.0,
-        help="fail when the shared-memory process executor does not beat serial by this factor (0 disables; auto-skipped on single-core machines)",
+        help="fail when the frozen-snapshot process executor does not beat serial by this factor (0 disables; auto-skipped when only one CPU is usable)",
     )
     parser.add_argument(
         "--tasks-per-worker",
@@ -137,11 +144,11 @@ def main(argv=None) -> int:
         "nodes": repository.node_count,
         "trees": repository.tree_count,
         "cpu_count": os.cpu_count(),
+        "cpu_affinity": available_cpu_count(),
         "delta": args.delta,
         "element_threshold": args.threshold,
         "top_k": args.top_k,
         "tasks_per_worker": args.tasks_per_worker,
-        "shared_memory": True,
         "queries": {},
         "gates": {},
     }
@@ -149,32 +156,35 @@ def main(argv=None) -> int:
     outputs_identical = True
 
     process_pool = ProcessPoolTaskExecutor(args.workers, tasks_per_worker=args.tasks_per_worker)
-    shm_pool = ProcessPoolTaskExecutor(args.workers, tasks_per_worker=args.tasks_per_worker)
+    frozen_pool = ProcessPoolTaskExecutor(args.workers, tasks_per_worker=args.tasks_per_worker)
     thread_pool = ThreadPoolTaskExecutor(args.workers)
     process_system = Bellflower(
         repository, element_threshold=args.threshold, delta=args.delta, executor=process_pool
     )
-    shm_system = Bellflower(
-        repository, element_threshold=args.threshold, delta=args.delta, executor=shm_pool
-    )
     thread_system = Bellflower(
         repository, element_threshold=args.threshold, delta=args.delta, executor=thread_pool
     )
+    # The same repository frozen and served from the file; the "tree"
+    # variant is the Bellflower default clusterer the other regimes run.
+    scratch = tempfile.TemporaryDirectory(prefix="bench-mapping-search-")
+    snapshot_path = Path(scratch.name) / "repository.frozen"
+    freeze_service(
+        MatchingService(
+            repository,
+            variant="tree",
+            element_threshold=args.threshold,
+            delta=args.delta,
+            query_cache_size=0,
+        ),
+        snapshot_path,
+    )
+    frozen_system = load_snapshot(snapshot_path, executor=frozen_pool).system
     # Warm the pools once so fork/thread start-up is not billed to the timings.
     process_pool.map(len, [(), ()])
-    shm_pool.map(len, [(), ()])
+    frozen_pool.map(len, [(), ()])
     thread_pool.map(len, [(), ()])
-
-    # Publish the repository into shared memory through a throwaway service
-    # facade over the *same* repository object: every system above shares it,
-    # so the pickle redirect is switched per regime by toggling the view.
-    publisher = MatchingService(
-        repository, element_threshold=args.threshold, delta=args.delta, query_cache_size=0
-    )
-    view = publisher.share_memory()
     first_name = next(iter(schemas))
-    shm_system.match(schemas[first_name], candidates=candidates[first_name])  # warm the attach cache
-    repository._shared_view = None  # plain regimes must keep copying
+    frozen_system.match(schemas[first_name], candidates=candidates[first_name])  # warm the reopen cache
 
     try:
         for name, schema in schemas.items():
@@ -189,17 +199,14 @@ def main(argv=None) -> int:
             thread_seconds, threaded = _best_of(
                 args.rounds, lambda: thread_system.match(schema, candidates=table)
             )
-            repository._shared_view = None  # plain process path: copy per task
             process_seconds, processed = _best_of(
                 args.rounds, lambda: process_system.match(schema, candidates=table)
             )
-            repository._shared_view = view  # shm path: workers attach by name
-            shm_seconds, shm = _best_of(
-                args.rounds, lambda: shm_system.match(schema, candidates=table)
+            frozen_seconds, frozen = _best_of(
+                args.rounds, lambda: frozen_system.match(schema, candidates=table)
             )
-            repository._shared_view = None
-            shm_workers = shm_pool.last_workers_used
-            shm_chunk_sizes = list(shm_pool.last_chunk_sizes)
+            frozen_workers = frozen_pool.last_workers_used
+            frozen_chunk_sizes = list(frozen_pool.last_chunk_sizes)
 
             # -- hard identity gates -------------------------------------------
             if topk.ranking_key() != complete.ranking_key()[: args.top_k]:
@@ -207,7 +214,7 @@ def main(argv=None) -> int:
             for backend_name, backend_result in (
                 ("thread", threaded),
                 ("process", processed),
-                ("process+shm", shm),
+                ("process+frozen", frozen),
             ):
                 if backend_result.ranking_key() != complete.ranking_key():
                     failures.append(f"{name}: {backend_name} executor ranking differs from serial")
@@ -227,13 +234,13 @@ def main(argv=None) -> int:
                 "topk_generation_seconds": round(topk_seconds, 6),
                 "thread_generation_seconds": round(thread_seconds, 6),
                 "process_generation_seconds": round(process_seconds, 6),
-                "shm_generation_seconds": round(shm_seconds, 6),
+                "frozen_generation_seconds": round(frozen_seconds, 6),
                 "topk_speedup": round(complete_seconds / topk_seconds, 3),
                 "process_speedup": round(complete_seconds / process_seconds, 3),
-                "shm_process_speedup": round(complete_seconds / shm_seconds, 3),
+                "frozen_process_speedup": round(complete_seconds / frozen_seconds, 3),
                 "thread_speedup": round(complete_seconds / thread_seconds, 3),
-                "process_workers": shm_workers,
-                "process_chunk_sizes": shm_chunk_sizes,
+                "process_workers": frozen_workers,
+                "process_chunk_sizes": frozen_chunk_sizes,
                 "partial_reduction": round(
                     complete.partial_mappings / max(1, topk.partial_mappings), 3
                 ),
@@ -258,22 +265,22 @@ def main(argv=None) -> int:
                     f"< required {args.min_topk_speedup}x"
                 )
 
-            # -- process-executor gate (shared-memory flavour) ------------------
-            if args.min_process_speedup and (os.cpu_count() or 1) < 2:
-                report["gates"][f"{name}_process_speedup"] = "skipped (single-core machine)"
+            # -- process-executor gate (frozen flavour) -------------------------
+            if args.min_process_speedup and available_cpu_count() < 2:
+                report["gates"][f"{name}_process_speedup"] = "skipped (one usable CPU)"
             elif args.min_process_speedup:
-                report["gates"][f"{name}_process_speedup"] = query_report["shm_process_speedup"]
-                if query_report["shm_process_speedup"] < args.min_process_speedup:
+                report["gates"][f"{name}_process_speedup"] = query_report["frozen_process_speedup"]
+                if query_report["frozen_process_speedup"] < args.min_process_speedup:
                     failures.append(
-                        f"{name}: shared-memory process-executor speedup "
-                        f"{query_report['shm_process_speedup']}x "
+                        f"{name}: frozen-snapshot process-executor speedup "
+                        f"{query_report['frozen_process_speedup']}x "
                         f"< required {args.min_process_speedup}x"
                     )
     finally:
-        publisher.unshare_memory()
         process_pool.close()
-        shm_pool.close()
+        frozen_pool.close()
         thread_pool.close()
+        scratch.cleanup()
 
     report["outputs_identical"] = outputs_identical
     report["ok"] = not failures

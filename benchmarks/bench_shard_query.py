@@ -22,11 +22,11 @@ gates three claims:
     on single-core runners too.
 
 Executor wall-clock times are also reported.  ``--min-process-speedup`` gates
-the *shared-memory* process-pool fan-out (``share_memory()`` + attach-by-name
-workers) against the serial sharded path; now that workers attach to a
-published segment instead of unpickling every shard, the floor defaults to
-1.0x.  The gate is auto-skipped (and recorded as such) on single-core
-machines, where a process pool cannot win by construction.  The plain
+the *frozen* process-pool fan-out (the shards frozen to a temporary shard set
+and served from it, so each fan-out task pickles its shard to snapshot paths
+that workers reopen once) against the serial sharded path, at a 1.0x floor.
+The gate is auto-skipped (and recorded as such) when the process may run on
+one CPU only, where a process pool cannot win by construction.  The plain
 (copy-per-task) process timing is still reported for comparison.
 
 Run from the repository root::
@@ -40,14 +40,19 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.service import MatchingService
-from repro.shard import ShardedMatchingService
-from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
+from repro.shard import ShardedMatchingService, load_shard_set, write_shard_set
+from repro.utils.executor import (
+    ProcessPoolTaskExecutor,
+    ThreadPoolTaskExecutor,
+    available_cpu_count,
+)
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import (
     book_personal_schema,
@@ -92,9 +97,9 @@ def main(argv=None) -> int:
         "--min-process-speedup",
         type=float,
         default=1.0,
-        help="fail when the shared-memory process-pool fan-out is not this many times "
-        "faster than the serial sharded path (0 disables; auto-skipped on single-core "
-        "machines)",
+        help="fail when the frozen-shard process-pool fan-out is not this many times "
+        "faster than the serial sharded path (0 disables; auto-skipped when only one "
+        "CPU is usable)",
     )
     parser.add_argument(
         "--tasks-per-worker",
@@ -137,17 +142,21 @@ def main(argv=None) -> int:
             )
 
     # -- identity + wall clock per executor (the headline shard count) --------
-    def timed_run(executor, share_memory=False):
-        service = ShardedMatchingService.from_repository(
+    def build(executor=None):
+        return ShardedMatchingService.from_repository(
             repository,
             args.shards,
             element_threshold=args.threshold,
             query_cache_size=0,
             executor=executor,
         )
-        service.build_derived_state()
-        if share_memory:
-            service.share_memory()
+
+    def timed_run(executor, manifest=None):
+        if manifest is not None:
+            service = load_shard_set(manifest, executor=executor, query_cache_size=0)
+        else:
+            service = build(executor)
+            service.build_derived_state()
         if executor is not None:
             service.match(schemas[0], top_k=args.top_k)  # warm the worker pool
         started = time.perf_counter()
@@ -160,7 +169,7 @@ def main(argv=None) -> int:
                 "chunk_sizes": list(executor.last_chunk_sizes),
                 "tasks_per_worker": executor.tasks_per_worker,
             }
-        service.close()  # unpublishes the shared segments, if any
+        service.close()
         if executor is not None:
             executor.close()
         return elapsed, ranking_keys(results) == ranking_keys(reference_topk), executor_info
@@ -170,15 +179,17 @@ def main(argv=None) -> int:
     process_seconds, process_identical, _ = timed_run(
         ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker)
     )
-    shm_seconds, shm_identical, shm_executor = timed_run(
-        ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker),
-        share_memory=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="bench-shard-query-") as scratch:
+        write_shard_set(build(), scratch, frozen=True)
+        frozen_seconds, frozen_identical, frozen_executor = timed_run(
+            ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker),
+            manifest=Path(scratch) / "manifest.json",
+        )
     identical = (
-        identical and serial_identical and thread_identical and process_identical and shm_identical
+        identical and serial_identical and thread_identical and process_identical and frozen_identical
     )
     process_speedup = serial_seconds / process_seconds if process_seconds > 0 else float("inf")
-    shm_speedup = serial_seconds / shm_seconds if shm_seconds > 0 else float("inf")
+    frozen_speedup = serial_seconds / frozen_seconds if frozen_seconds > 0 else float("inf")
 
     # -- batched front-end vs query-by-query replay ---------------------------
     batch = [schema for schema in schemas for _ in range(args.batch_repeat)]
@@ -199,17 +210,18 @@ def main(argv=None) -> int:
     identical = identical and ranking_keys(batch_results) == ranking_keys(naive_results)
     batch_speedup = naive_seconds / batch_seconds if batch_seconds > 0 else float("inf")
 
-    single_core = (os.cpu_count() or 1) < 2
+    single_core = available_cpu_count() < 2
     if args.min_process_speedup <= 0:
         process_gate: object = "disabled"
     elif single_core:
-        process_gate = "skipped (single-core machine)"
+        process_gate = "skipped (one usable CPU)"
     else:
-        process_gate = round(shm_speedup, 3)
+        process_gate = round(frozen_speedup, 3)
 
     report = {
         "benchmark": "shard_query",
         "cpu_count": os.cpu_count(),
+        "cpu_affinity": available_cpu_count(),
         "process_speedup_gate": process_gate,
         "repository": {"trees": repository.tree_count, "nodes": repository.node_count},
         "shards": args.shards,
@@ -220,11 +232,10 @@ def main(argv=None) -> int:
         "serial_batch_seconds": round(serial_seconds, 6),
         "thread_batch_seconds": round(thread_seconds, 6),
         "process_batch_seconds": round(process_seconds, 6),
-        "shm_batch_seconds": round(shm_seconds, 6),
+        "frozen_batch_seconds": round(frozen_seconds, 6),
         "process_speedup": round(process_speedup, 3),
-        "shm_process_speedup": round(shm_speedup, 3),
-        "process_executor": shm_executor,
-        "shared_memory": True,
+        "frozen_process_speedup": round(frozen_speedup, 3),
+        "process_executor": frozen_executor,
         "batch_workload": {
             "queries": len(batch),
             "distinct": len(schemas),
@@ -253,10 +264,10 @@ def main(argv=None) -> int:
         )
         return 1
     if args.min_process_speedup > 0 and single_core:
-        print("process-speedup gate skipped (single-core machine)")
-    elif args.min_process_speedup > 0 and shm_speedup < args.min_process_speedup:
+        print("process-speedup gate skipped (one usable CPU)")
+    elif args.min_process_speedup > 0 and frozen_speedup < args.min_process_speedup:
         print(
-            f"FAIL: shared-memory process fan-out speedup {shm_speedup:.2f}x below "
+            f"FAIL: frozen-shard process fan-out speedup {frozen_speedup:.2f}x below "
             f"required {args.min_process_speedup}x",
             file=sys.stderr,
         )

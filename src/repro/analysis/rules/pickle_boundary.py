@@ -1,11 +1,11 @@
 """RPA003 — the process-pool pickle boundary stays audited.
 
 :class:`~repro.utils.executor.ProcessPoolTaskExecutor` ships callables and
-task payloads to worker processes by pickling.  PR 7's shared-memory redirects
-exist precisely because "it pickled, therefore it worked" is false: a class
-that crosses the boundary with default pickling can silently drag megabytes of
-repository state (or unpicklable locks/pools) into every worker.  The audit
-has two mechanical halves:
+task payloads to worker processes by pickling.  The frozen-snapshot path
+reopens exist precisely because "it pickled, therefore it worked" is false: a
+class that crosses the boundary with default pickling can silently drag
+megabytes of repository state (or unpicklable locks/pools) into every worker.
+The audit has two mechanical halves:
 
 * every class that customizes pickling (``__reduce__``/``__getstate__``/…)
   must appear in :data:`PICKLE_BOUNDARY_ALLOWLIST` with a recorded reason —
@@ -50,12 +50,12 @@ PICKLE_BOUNDARY_ALLOWLIST: Dict[str, Dict[str, object]] = {
         "why": "strips the lock; workers get a per-process incumbent copy (prune-only, exact)",
     },
     "repro.service.service.MatchingService": {
-        "hooks": True,
-        "why": "redirects to the published shared-memory segment while live+version-matched (PR 7)",
+        "hooks": False,
+        "why": "the shard fan-out task payload under default pickling; frozen parts reopen by path",
     },
     "repro.labeling.distance.RepositoryDistanceOracle": {
         "hooks": True,
-        "why": "redirects to the shared-memory segment / re-keys packed rows on attach (PR 7)",
+        "why": "strips the lock and built rows; workers rebuild only the trees their clusters touch",
     },
     "repro.matchers.index.LRUMemo": {
         "hooks": True,
@@ -87,7 +87,7 @@ PICKLE_BOUNDARY_ALLOWLIST: Dict[str, Dict[str, object]] = {
     },
     "repro.storage.frozen.FrozenRepositoryDistanceOracle": {
         "hooks": True,
-        "why": "shm redirect wins, else snapshot-path reopen while pristine, else copy sans mmap views",
+        "why": "snapshot-path reopen while pristine, else copy sans mmap views",
     },
     "repro.storage.frozen.FrozenPartition": {
         "hooks": True,

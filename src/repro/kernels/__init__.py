@@ -14,15 +14,10 @@ Both kernels are *bit-identical* to the scalar implementations they replace
 (:mod:`repro.matchers.string_metrics` and
 :meth:`repro.objective.bellflower.BellflowerObjective.fast_bound`); the
 differential suite in ``tests/kernels/`` pins that property.  numpy is a hard
-dependency of the package, but every call site degrades to the scalar path
-when a kernel declines (``HAVE_NUMPY`` false, tiny batches, unusual inputs),
-so the library keeps working without it.
+dependency of the package; every call site runs the scalar path when a kernel
+declines (tiny batches, unusual inputs).
 """
 
-from repro.kernels.strings import (
-    HAVE_NUMPY,
-    PackedNameTable,
-    batch_fuzzy_scores,
-)
+from repro.kernels.strings import PackedNameTable, batch_fuzzy_scores
 
-__all__ = ["HAVE_NUMPY", "PackedNameTable", "batch_fuzzy_scores"]
+__all__ = ["PackedNameTable", "batch_fuzzy_scores"]

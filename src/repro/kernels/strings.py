@@ -42,23 +42,17 @@ rows shorter than the matrix width are padded with ``-1`` — a code point no
 string contains — whose cells never influence any read column because the
 recurrence only looks left and up.
 
-The kernel *declines* (returns ``None``) rather than guessing when numpy is
-unavailable, the batch is too small to amortize array overhead, the query is
-empty or over-long, or the threshold is outside ``[0, 1]``; callers then fall
-back to the scalar loop.
+The kernel *declines* (returns ``None``) rather than guessing when the batch
+is too small to amortize array overhead, the query is empty or over-long, or
+the threshold is outside ``[0, 1]``; callers then fall back to the scalar
+loop.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - the container bakes numpy in
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 #: Same barrier as the scalar kernel's border rows.  int32 is safe: the
 #: largest value a table cell can reach is ``_BIG + 2 * MAX_PACKED_LEN``,
@@ -106,9 +100,7 @@ class PackedNameTable:
 
     @classmethod
     def build(cls, keys: Sequence[str]) -> Optional["PackedNameTable"]:
-        """Pack ``keys``; ``None`` when numpy is missing or a key is too long."""
-        if not HAVE_NUMPY:
-            return None
+        """Pack ``keys``; ``None`` when a key is too long or unencodable."""
         width = 0
         for key in keys:
             if len(key) > width:
@@ -198,7 +190,7 @@ def batch_fuzzy_scores(
     (same keys, same float bits, same insertion order), or ``None`` when the
     kernel declines and the caller should run the scalar loop instead.
     """
-    if not HAVE_NUMPY or table is None:
+    if table is None:
         return None
     count = len(candidate_ids)
     if count < MIN_BATCH_SIZE:

@@ -296,9 +296,9 @@ class RepositoryNameIndex:
     def packed_name_table(self):
         """Lazily built code-point matrix of the keys for the batch DL kernel.
 
-        ``None`` when the kernel cannot be used (no numpy, an over-long or
-        unencodable key).  Index instances are immutable snapshots, so the
-        table is built at most once; incremental clones
+        ``None`` when the kernel cannot be used (an over-long or unencodable
+        key).  Index instances are immutable snapshots, so the table is built
+        at most once; incremental clones
         (:meth:`with_tree_added` / :meth:`with_tree_removed`) start without
         one and rebuild lazily against their own key list.
         """

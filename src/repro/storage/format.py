@@ -1,10 +1,10 @@
 """The frozen snapshot container: segmented, versioned, loaded by ``mmap``.
 
-A frozen snapshot is the third carrier of the service-snapshot document
-family (after base64-JSON files and shared-memory segments): the same logical
-content — forest structure, name tables, Euler tours, sparse-table rows,
-posting lists — stored as fixed-width little-endian arrays that a reader maps
-into its address space instead of parsing.  Opening one is O(header), not
+A frozen snapshot is the second carrier of the service-snapshot document
+family (after base64-JSON files): the same logical content — forest
+structure, name tables, Euler tours, sparse-table rows, posting lists —
+stored as fixed-width little-endian arrays that a reader maps into its
+address space instead of parsing.  Opening one is O(header), not
 O(repository): the loader validates the preamble and the segment table,
 ``mmap``\\ s the file once, and every array is a zero-copy ``memoryview`` cast
 over the mapping.
@@ -46,10 +46,9 @@ existing segment requires a bump.
 Shared packing carrier
 ----------------------
 :func:`pack_int32` / :func:`unpack_int32` are the one int32 byte codec for
-every binary carrier: the shared-memory view (:mod:`repro.service.sharedmem`)
-packs its data region with them, and the frozen writer packs segments with
-them, so the little-endian-on-disk/by-swap-on-big-endian rule lives in
-exactly one place.
+both carriers: the frozen writer packs segments with them, and the JSON
+snapshot base64-armors the same bytes, so the
+little-endian-on-disk/by-swap-on-big-endian rule lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ def _align(offset: int) -> int:
 
 
 def pack_int32(values) -> bytes:
-    """Little-endian int32 bytes of a flat int sequence (disk and shm carrier)."""
+    """Little-endian int32 bytes of a flat int sequence (both snapshot carriers)."""
     buffer = array("i", values)
     if sys.byteorder == "big":  # pragma: no cover - x86/arm are little-endian
         buffer.byteswap()

@@ -604,17 +604,8 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
         return state
 
     def __reduce_ex__(self, protocol):
-        # Precedence mirrors the base class: a live shared-memory publication
-        # wins (the base redirect handles it), then the frozen reopen while
-        # the repository is pristine, then the plain copy path (view attrs
-        # stripped by __getstate__ above).
-        view = getattr(self.repository, "_shared_view", None)
-        if (
-            view is not None
-            and not view.stale
-            and view.repository_version == getattr(self.repository, "version", None)
-        ):
-            return super().__reduce_ex__(protocol)
+        # Reopen by path while the repository is pristine; otherwise the
+        # plain copy path (view attrs stripped by __getstate__ above).
         if self._frozen_active and getattr(self.repository, "version", 0) == 0:
             return (_reopen_frozen_oracle, (self._snapshot.source_path,))
         return super().__reduce_ex__(protocol)

@@ -141,6 +141,18 @@ class ThreadPoolTaskExecutor(TaskExecutor):
         return f"ThreadPoolTaskExecutor(max_workers={self.max_workers})"
 
 
+def available_cpu_count() -> int:
+    """CPUs this process may run on.
+
+    The scheduler affinity set where the platform reports one (``taskset``,
+    cgroup cpusets), else ``os.cpu_count()``: a pool sized from the machine's
+    core count would oversubscribe a pinned process.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_task_chunk(fn: Callable[[_ItemT], _ResultT], chunk: List[_ItemT]) -> List[_ResultT]:
     """Worker-side body of :meth:`ProcessPoolTaskExecutor.map` (module-level: picklable)."""
     return [fn(item) for item in chunk]
@@ -215,9 +227,9 @@ class ProcessPoolTaskExecutor(TaskExecutor):
         self.last_chunk_sizes: List[int] = []
         self.last_workers_used: int = 0
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=workers)
         return self._pool
 
     def map(
@@ -229,7 +241,7 @@ class ProcessPoolTaskExecutor(TaskExecutor):
             self.last_chunk_sizes = []
             self.last_workers_used = 0
             return [fn(item) for item in items]
-        workers = self.max_workers or os.cpu_count() or 1
+        workers = self.max_workers or available_cpu_count()
         chunks = split_into_chunks(items, workers * self.tasks_per_worker)
         if len(chunks) <= 1:
             self.last_chunk_sizes = []
@@ -237,7 +249,7 @@ class ProcessPoolTaskExecutor(TaskExecutor):
             return [fn(item) for item in items]
         self.last_chunk_sizes = [len(chunk) for chunk in chunks]
         self.last_workers_used = min(workers, len(chunks))
-        pool = self._ensure_pool()
+        pool = self._ensure_pool(workers)
         futures = [pool.submit(_run_task_chunk, fn, chunk) for chunk in chunks]
         results: List[_ResultT] = []
         for future in futures:

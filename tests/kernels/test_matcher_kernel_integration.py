@@ -11,12 +11,9 @@ import struct
 
 import pytest
 
-from repro.kernels.strings import HAVE_NUMPY
 from repro.matchers.name import FuzzyNameMatcher
 from repro.matchers.selection import MappingElementSelector
 from repro.utils.counters import CounterSet
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def force_scalar(monkeypatch):

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels.strings import (
-    HAVE_NUMPY,
     MAX_PACKED_LEN,
     MIN_BATCH_SIZE,
     PackedNameTable,
@@ -30,11 +30,6 @@ from repro.matchers.string_metrics import (
     edit_budget,
     fuzzy_similarity,
 )
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
-if HAVE_NUMPY:
-    import numpy as np
 
 words = st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), max_size=12)
 # A tiny alphabet maximizes transpositions and look-back hits — the cases

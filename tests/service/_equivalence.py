@@ -55,22 +55,15 @@ def counters_key(result):
 
 
 def execution_backends(max_workers=2):
-    """The four execution regimes every service query must agree across.
+    """The three execution regimes every service query must agree across.
 
-    Yields ``(name, executor_factory, share_memory)`` triples; ``executor``
-    is ``None`` for the serial regime.  The shared-memory regime reuses the
-    process executor but publishes the service's repository first, so workers
-    attach instead of unpickling.
+    Yields ``(name, executor_factory)`` pairs; ``executor`` is ``None`` for
+    the serial regime.
     """
     from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
 
     return [
-        ("serial", lambda: None, False),
-        ("thread", lambda: ThreadPoolTaskExecutor(max_workers=max_workers), False),
-        ("process", lambda: ProcessPoolTaskExecutor(max_workers=max_workers), False),
-        (
-            "process+shm",
-            lambda: ProcessPoolTaskExecutor(max_workers=max_workers),
-            True,
-        ),
+        ("serial", lambda: None),
+        ("thread", lambda: ThreadPoolTaskExecutor(max_workers=max_workers)),
+        ("process", lambda: ProcessPoolTaskExecutor(max_workers=max_workers)),
     ]

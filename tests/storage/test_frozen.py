@@ -3,13 +3,16 @@
 The frozen carrier is pure acceleration — any divergence from the JSON path
 would silently corrupt match results rather than crash.  Every test therefore
 pins exact equality (rankings, path evidence, counters, cluster reports)
-between a frozen-loaded service and its JSON-loaded twin, across all four
-execution regimes, through mutation (thaw), compaction, and sharding.
+between a frozen-loaded service and its JSON-loaded twin, across every
+execution regime and process-pool shape, through mutation (thaw), compaction,
+and sharding.  It is also the carrier process workers reach repository state
+through: frozen parts pickle to a path reopen instead of a copy.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +34,13 @@ from repro.errors import ReproError
 from repro.matchers.name import FuzzyNameMatcher
 from repro.schema.repository import SchemaRepository
 from repro.service import MatchingService, load_snapshot, write_snapshot
-from repro.shard import RoundRobinRouter, ShardedMatchingService, load_shard_set, write_shard_set
+from repro.shard import (
+    RoundRobinRouter,
+    ShardedMatchingService,
+    load_manifest,
+    load_shard_set,
+    write_shard_set,
+)
 from repro.storage import (
     FrozenRepository,
     compact_frozen,
@@ -41,6 +50,7 @@ from repro.storage import (
     load_frozen_service,
     open_frozen,
 )
+from repro.utils.executor import ProcessPoolTaskExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
@@ -100,19 +110,30 @@ class TestFrozenLoadEquivalence:
         "backend", list(execution_backends()), ids=lambda backend: backend[0]
     )
     def test_match_bit_identical_across_backends(self, snapshot_pair, reference_keys, backend):
-        _, factory, share = backend
+        _, factory = backend
         executor = factory()
         service = load_frozen_service(snapshot_pair / "snap.frozen", executor=executor)
         try:
-            if share:
-                service.share_memory()
             assert full_key(service.match(paper_personal_schema())) == reference_keys["paper"]
             assert full_key(service.match(contact_personal_schema())) == reference_keys["contact"]
         finally:
-            if share:
-                service.unshare_memory()
             if executor is not None:
                 executor.close()
+
+    # Two workers with one task each is the "process" backend above.
+    @pytest.mark.parametrize(
+        "workers, tasks_per_worker", [(1, 1), (4, 1), (2, 3)], ids=["w1", "w4", "w2-chunks3"]
+    )
+    def test_process_results_independent_of_pool_shape(
+        self, snapshot_pair, reference_keys, workers, tasks_per_worker
+    ):
+        executor = ProcessPoolTaskExecutor(workers, tasks_per_worker=tasks_per_worker)
+        service = load_snapshot(snapshot_pair / "snap.frozen", executor=executor)
+        try:
+            assert full_key(service.match(paper_personal_schema())) == reference_keys["paper"]
+            assert full_key(service.match(contact_personal_schema())) == reference_keys["contact"]
+        finally:
+            executor.close()
 
     def test_repeated_queries_reuse_the_frozen_views(self, snapshot_pair, reference_keys):
         service = load_snapshot(snapshot_pair / "snap.frozen")
@@ -211,26 +232,74 @@ class TestCompaction:
             )
 
 
-class TestFrozenShardSet:
-    def test_frozen_manifest_round_trip_is_bit_identical(self, tmp_path):
-        repository = RepositoryGenerator(
-            RepositoryProfile(
-                target_node_count=700, min_tree_size=10, max_tree_size=55, seed=23, name="shards"
-            )
-        ).generate()
-        service = ShardedMatchingService.from_repository(
-            repository, 3, router=RoundRobinRouter(), element_threshold=0.5
+@pytest.fixture(scope="module")
+def shard_sets(tmp_path_factory):
+    """One 3-shard service written both ways: ``json/`` and ``frozen/`` manifests."""
+    target = tmp_path_factory.mktemp("shards")
+    repository = RepositoryGenerator(
+        RepositoryProfile(
+            target_node_count=700, min_tree_size=10, max_tree_size=55, seed=23, name="shards"
         )
-        manifest = write_shard_set(service, tmp_path, frozen=True)
+    ).generate()
+    service = ShardedMatchingService.from_repository(
+        repository, 3, router=RoundRobinRouter(), element_threshold=0.5
+    )
+    write_shard_set(service, target / "json")
+    write_shard_set(service, target / "frozen", frozen=True)
+    return service, target
+
+
+class TestFrozenShardSet:
+    def test_frozen_manifest_round_trip_is_bit_identical(self, shard_sets):
+        service, target = shard_sets
+        manifest = load_manifest(target / "frozen" / "manifest.json")
         for entry in manifest["shards"]:
             assert entry["path"].endswith(".frozen")
-            assert is_frozen_file(tmp_path / entry["path"])
+            assert is_frozen_file(target / "frozen" / entry["path"])
 
-        loaded = load_shard_set(tmp_path / "manifest.json")
+        loaded = load_shard_set(target / "frozen" / "manifest.json")
         for shard in loaded.shards:
             assert type(shard.repository) is FrozenRepository
         for schema in (paper_personal_schema(), contact_personal_schema()):
             assert loaded.match(schema).ranking_key() == service.match(schema).ranking_key()
+
+    def test_process_fan_out_matches_the_json_shard_set(self, shard_sets):
+        # Fresh sets per query: a serial shard keeps its name memo from one
+        # query to the next, while every process task unpickles a shard with
+        # an empty memo, so only first-query counters are comparable.
+        _, target = shard_sets
+        executor = ProcessPoolTaskExecutor(2)
+        try:
+            for schema in (paper_personal_schema(), contact_personal_schema()):
+                expected = load_shard_set(target / "json" / "manifest.json").match(schema)
+                loaded = load_shard_set(target / "frozen" / "manifest.json", executor=executor)
+                result = loaded.match(schema)
+                assert result_key(result) == result_key(expected)
+                assert path_records_key(result) == path_records_key(expected)
+                assert counters_key(result) == counters_key(expected)
+        finally:
+            executor.close()
+
+
+class TestProcessPayloads:
+    """What a process worker receives: a path to reopen, never a copy."""
+
+    def test_frozen_oracle_pickles_to_a_path_reopen(self, tmp_path):
+        # Large enough that the JSON twin's copied repository passes 100 KB.
+        service = make_service(seed=5, nodes=2500)
+        write_snapshot(service, tmp_path / "snap.json")
+        freeze_service(service, tmp_path / "snap.frozen")
+        frozen = load_snapshot(tmp_path / "snap.frozen")
+        plain = load_snapshot(tmp_path / "snap.json")
+        assert len(pickle.dumps(frozen.oracle)) <= 256
+        assert len(pickle.dumps(plain.oracle)) > 100_000
+
+    def test_frozen_shard_service_pickles_small(self, shard_sets):
+        _, target = shard_sets
+        loaded = load_shard_set(target / "frozen" / "manifest.json")
+        loaded.match(paper_personal_schema())
+        for shard in loaded.shards:
+            assert len(pickle.dumps(shard)) <= 2048
 
 
 class TestRoundTripProperty:

@@ -120,6 +120,13 @@ class TestProcessPool:
         with ProcessPoolTaskExecutor(2) as executor:
             assert executor.map(_worker_pid, [0]) == [os.getpid()]
 
+    def test_default_size_follows_cpu_affinity(self, monkeypatch):
+        # One permitted core runs inline however many the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with ProcessPoolTaskExecutor() as executor:
+            assert executor.map(_worker_pid, list(range(10))) == [os.getpid()] * 10
+            assert executor.last_chunk_sizes == []
+
     def test_multiple_items_use_worker_processes(self):
         with ProcessPoolTaskExecutor(2) as executor:
             pids = executor.map(_worker_pid, list(range(8)))
