@@ -8,6 +8,7 @@ for every structure the snapshot carries.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,16 @@ class TestSnapshotRoundTrip:
         entry = payload["name_indexes"][0]
         assert len(_unpack_ints(entry["node_name_ids"])) == repository.node_count
         assert entry["blocking"] is not None  # warm-up built the trigram structures
+
+    def test_snapshot_bytes_are_pinned(self, tmp_path):
+        # The JSON carrier's byte layout is part of SNAPSHOT_VERSION 1: a
+        # change here must bump the version, then update this digest.
+        profile = RepositoryProfile(target_node_count=2000, seed=5, name="b")
+        path = tmp_path / "snapshot.json"
+        write_snapshot(MatchingService(RepositoryGenerator(profile).generate()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9df561d9fe8a105669a75ec1972f61f6bcc876a8d3de37583821c74c3b011218"
+        )
 
     def test_loaded_service_needs_no_rebuild(self, tmp_path):
         """Every oracle/partition row must be present post-load, not lazily rebuilt."""

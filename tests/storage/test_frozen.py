@@ -12,9 +12,12 @@ through: frozen parts pickle to a path reopen instead of a copy.
 from __future__ import annotations
 
 import copy
+import hashlib
+import os
 import pickle
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -31,7 +34,9 @@ from _equivalence import (  # noqa: E402
 )
 
 from repro.errors import ReproError
+from repro.mapping.branch_and_bound import BranchAndBoundGenerator
 from repro.matchers.name import FuzzyNameMatcher
+from repro.objective.bellflower import BellflowerObjective
 from repro.schema.repository import SchemaRepository
 from repro.service import MatchingService, load_snapshot, write_snapshot
 from repro.shard import (
@@ -70,6 +75,37 @@ def full_key(result):
     return (result_key(result), path_records_key(result), counters_key(result), cluster_key(result))
 
 
+def extra_tree():
+    """A fresh, unregistered tree for mutation tests."""
+    tree = RepositoryGenerator(
+        RepositoryProfile(target_node_count=60, min_tree_size=10, max_tree_size=30, seed=7)
+    ).generate().tree(0)
+    tree.tree_id = -1
+    return tree
+
+
+def mutate(service, kind):
+    """Thaw ``service`` through the public mutation API."""
+    if kind == "add":
+        service.add_tree(extra_tree())
+    else:
+        service.remove_tree(2)
+
+
+class PathHeavyObjective(BellflowerObjective):
+    """A user-defined objective; module-level so workers unpickle it by reference."""
+
+    name = "path-heavy"
+
+    def __init__(self) -> None:
+        super().__init__(alpha=0.2, path_normalization=2.0)
+
+
+def _reopen_and_crash(blob):  # pragma: no cover - runs in a worker process
+    pickle.loads(blob)
+    os._exit(1)
+
+
 @pytest.fixture(scope="module")
 def snapshot_pair(tmp_path_factory):
     """One service written both ways: ``snap.json`` and ``snap.frozen``."""
@@ -78,6 +114,13 @@ def snapshot_pair(tmp_path_factory):
     write_snapshot(service, target / "snap.json")
     freeze_service(service, target / "snap.frozen")
     return target
+
+
+@pytest.fixture
+def frozen_file(tmp_path):
+    """A small service frozen to a file of its own: no other test has opened it."""
+    freeze_service(make_service(seed=29, nodes=400), tmp_path / "snap.frozen")
+    return tmp_path / "snap.frozen"
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +233,39 @@ class TestMutationThaw:
         for schema in (paper_personal_schema(), contact_personal_schema()):
             assert full_key(frozen_service.match(schema)) == full_key(json_service.match(schema))
 
+    @pytest.mark.parametrize("kind", ["add", "remove"])
+    def test_thawed_oracle_pickles_by_copy(self, frozen_file, kind):
+        service = load_snapshot(frozen_file)
+        reopen_size = len(pickle.dumps(service.oracle))
+        mutate(service, kind)
+        blob = pickle.dumps(service.oracle)
+        assert b"_reopen_frozen_oracle" not in blob
+        assert b"_reopen_frozen_repository" not in blob
+        assert len(blob) > 10 * reopen_size
+        copied = pickle.loads(blob)
+        assert type(copied.repository) is SchemaRepository
+        assert [tree.name for tree in copied.repository.trees()] == [
+            tree.name for tree in service.repository.trees()
+        ]
+
+    @pytest.mark.parametrize("kind", ["add", "remove"])
+    def test_process_workers_answer_a_thawed_service_like_its_json_twin(
+        self, snapshot_pair, kind
+    ):
+        json_service = load_snapshot(snapshot_pair / "snap.json")
+        executor = ProcessPoolTaskExecutor(2)
+        frozen_service = load_snapshot(snapshot_pair / "snap.frozen", executor=executor)
+        try:
+            for service in (json_service, frozen_service):
+                mutate(service, kind)
+            schema = paper_personal_schema()
+            assert full_key(frozen_service.match(schema)) == full_key(json_service.match(schema))
+            assert executor.last_chunk_sizes, "the query never reached the workers"
+            schema = contact_personal_schema()
+            assert full_key(frozen_service.match(schema)) == full_key(json_service.match(schema))
+        finally:
+            executor.close()
+
 
 class TestCompaction:
     def test_compact_equals_mutate_then_query(self, snapshot_pair, tmp_path):
@@ -263,6 +339,24 @@ class TestFrozenShardSet:
         for schema in (paper_personal_schema(), contact_personal_schema()):
             assert loaded.match(schema).ranking_key() == service.match(schema).ranking_key()
 
+    def test_process_fan_out_repeats_a_query_identically(self, shard_sets):
+        _, target = shard_sets
+        schema = paper_personal_schema()
+        expected = load_shard_set(target / "json" / "manifest.json").match(schema)
+        executor = ProcessPoolTaskExecutor(2)
+        try:
+            # No result cache: the second answer takes the fan-out again.
+            loaded = load_shard_set(
+                target / "frozen" / "manifest.json", executor=executor, query_cache_size=0
+            )
+            for _ in range(2):
+                result = loaded.match(schema)
+                assert result_key(result) == result_key(expected)
+                assert path_records_key(result) == path_records_key(expected)
+            assert executor.last_chunk_sizes, "the fan-out never reached the workers"
+        finally:
+            executor.close()
+
     def test_process_fan_out_matches_the_json_shard_set(self, shard_sets):
         # Fresh sets per query: a serial shard keeps its name memo from one
         # query to the next, while every process task unpickles a shard with
@@ -300,6 +394,111 @@ class TestProcessPayloads:
         loaded.match(paper_personal_schema())
         for shard in loaded.shards:
             assert len(pickle.dumps(shard)) <= 2048
+
+    def test_reopened_oracle_answers_like_the_original(self, frozen_file):
+        service = load_snapshot(frozen_file)
+        reopened = pickle.loads(pickle.dumps(service.oracle))
+        repository = service.repository
+        for tree_id in (0, repository.tree_count // 2, repository.tree_count - 1):
+            root = repository.ref(tree_id, 0)
+            for local_id in range(repository.tree(tree_id).node_count):
+                node = repository.ref(tree_id, local_id)
+                assert reopened.distance(root, node) == service.oracle.distance(root, node)
+
+    def test_reopened_service_answers_like_the_loaded_one(self, frozen_file):
+        service = load_snapshot(frozen_file)
+        reopened = pickle.loads(pickle.dumps(service))
+        assert type(reopened.repository) is FrozenRepository
+        for schema in (paper_personal_schema(), contact_personal_schema()):
+            assert full_key(reopened.match(schema)) == full_key(service.match(schema))
+
+    def test_reopens_share_one_runtime_per_process(self, frozen_file):
+        service = load_snapshot(frozen_file)
+        oracle_blob = pickle.dumps(service.oracle)
+        repository_blob = pickle.dumps(service.repository)
+        oracle = pickle.loads(oracle_blob)
+        assert pickle.loads(oracle_blob) is oracle
+        assert pickle.loads(repository_blob) is oracle.repository
+        assert open_frozen(frozen_file) is open_frozen(frozen_file)
+
+    def test_reopening_a_deleted_snapshot_raises(self, frozen_file):
+        service = load_snapshot(frozen_file, query_cache_size=0)
+        before = service.match(paper_personal_schema())
+        blob = pickle.dumps(service.oracle)
+        frozen_file.unlink()
+        with pytest.raises(ReproError, match="cannot open frozen snapshot"):
+            pickle.loads(blob)
+        # The loaded service keeps its own mapping of the unlinked file.
+        after = service.match(paper_personal_schema())
+        assert (result_key(after), path_records_key(after)) == (
+            result_key(before),
+            path_records_key(before),
+        )
+
+    def test_replacing_the_file_maps_a_new_generation(self, frozen_file):
+        service = load_snapshot(frozen_file, query_cache_size=0)
+        before = service.match(paper_personal_schema())
+        replacement = make_service(seed=31, nodes=600)
+        freeze_service(replacement, frozen_file)
+        header = open_frozen(frozen_file).header["repository"]
+        assert header["tree_count"] == replacement.repository.tree_count
+        # Readers of the old generation keep their pages.
+        after = service.match(paper_personal_schema())
+        assert (result_key(after), path_records_key(after)) == (
+            result_key(before),
+            path_records_key(before),
+        )
+
+
+class TestWorkerCrash:
+    def test_crashed_workers_leave_the_snapshot_serving(self, frozen_file):
+        digest = hashlib.sha256(frozen_file.read_bytes()).hexdigest()
+        service = load_snapshot(frozen_file)
+        baseline = full_key(service.match(paper_personal_schema()))
+        blob = pickle.dumps(service)
+        executor = ProcessPoolTaskExecutor(2)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                executor.map(_reopen_and_crash, [blob, blob])
+            executor.close()
+            assert hashlib.sha256(frozen_file.read_bytes()).hexdigest() == digest
+            # close() discards the broken pool; the next query starts a new one.
+            survivor = load_snapshot(frozen_file, executor=executor)
+            assert full_key(survivor.match(paper_personal_schema())) == baseline
+            assert executor.last_chunk_sizes, "the query never reached the workers"
+        finally:
+            executor.close()
+
+
+class TestWorkerOverrides:
+    """Load-time overrides travel to the workers by value, not as defaults."""
+
+    @pytest.mark.parametrize(
+        "component, factory",
+        [
+            ("objective", lambda: BellflowerObjective(alpha=0.25)),
+            ("objective", PathHeavyObjective),
+            ("generator", lambda: BranchAndBoundGenerator(use_bounding=False)),
+        ],
+        ids=["objective-alpha", "objective-subclass", "generator-unbounded"],
+    )
+    def test_process_results_follow_the_override(self, snapshot_pair, component, factory):
+        schema = paper_personal_schema()
+        default = full_key(load_snapshot(snapshot_pair / "snap.frozen").match(schema))
+        serial = full_key(
+            load_snapshot(snapshot_pair / "snap.frozen", **{component: factory()}).match(schema)
+        )
+        # The override changes the answer, so a worker on the default would show.
+        assert serial != default
+        executor = ProcessPoolTaskExecutor(2)
+        try:
+            service = load_snapshot(
+                snapshot_pair / "snap.frozen", executor=executor, **{component: factory()}
+            )
+            assert full_key(service.match(schema)) == serial
+            assert executor.last_chunk_sizes, "the query never reached the workers"
+        finally:
+            executor.close()
 
 
 class TestRoundTripProperty:

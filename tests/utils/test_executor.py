@@ -12,6 +12,7 @@ from repro.utils.executor import (
     SerialExecutor,
     TaskExecutor,
     ThreadPoolTaskExecutor,
+    available_cpu_count,
     split_into_chunks,
 )
 
@@ -105,6 +106,19 @@ class TestSplitIntoChunks:
             split_into_chunks([1], 0)
 
 
+class TestAvailableCpuCount:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert available_cpu_count() == 3
+
+    @pytest.mark.parametrize("reported, expected", [(6, 6), (None, 1)])
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch, reported, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: reported)
+        assert available_cpu_count() == expected
+
+
 class TestProcessPool:
     def test_map_preserves_input_order(self):
         items = list(range(50))
@@ -126,6 +140,21 @@ class TestProcessPool:
         with ProcessPoolTaskExecutor() as executor:
             assert executor.map(_worker_pid, list(range(10))) == [os.getpid()] * 10
             assert executor.last_chunk_sizes == []
+
+    def test_default_pool_is_sized_to_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        with ProcessPoolTaskExecutor() as executor:
+            assert executor.map(_square, list(range(10))) == [_square(value) for value in range(10)]
+            assert executor.last_chunk_sizes == [4, 3, 3]
+            assert executor.last_workers_used == 3
+            assert executor._pool._max_workers == 3
+
+    def test_explicit_worker_count_overrides_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with ProcessPoolTaskExecutor(2) as executor:
+            pids = executor.map(_worker_pid, list(range(10)))
+            assert executor.last_chunk_sizes == [5, 5]
+        assert os.getpid() not in pids
 
     def test_multiple_items_use_worker_processes(self):
         with ProcessPoolTaskExecutor(2) as executor:
