@@ -15,11 +15,11 @@ three claims:
     — may cost at most this fraction over the legacy in-process path
     (``service.match(tree, ...)``) on the same queries (default 5%).  Both
     paths hold their request objects across calls, as an in-process caller
-    does; JSON/wire parsing is *transport* cost, identical for both the
-    legacy and v1 serve dialects, and is measured separately by the server
-    section.  Measured with the query cache disabled so both paths do full
-    search work, and as the median of ``--rounds`` alternating runs so a
-    one-off scheduler blip cannot decide the ratio.
+    does; JSON/wire parsing of v1 request lines is *transport* cost, outside
+    both paths, and is measured separately by the server section.  Measured
+    with the query cache disabled so both paths do full search work, and as
+    the median of ``--rounds`` alternating runs so a one-off scheduler blip
+    cannot decide the ratio.
 
 ``unsharded batch speedup`` (``--min-batch-speedup``)
     ``match_many`` on the *unsharded* service — the fingerprint dedup +

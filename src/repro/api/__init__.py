@@ -1,9 +1,9 @@
 """The unified query API: typed envelopes, one ``Matcher`` protocol, a server.
 
-PRs 1-4 grew three divergent query entry points (``Bellflower.match``,
-``MatchingService.match``, ``ShardedMatchingService.match/match_many``) plus
-the untyped JSON dicts of the serve loop.  This package is the one stable,
-versioned surface over all of them:
+This package is the one stable, versioned surface over the backends' query
+entry points (``Bellflower.match``, ``MatchingService.match``,
+``ShardedMatchingService.match/match_many``), and its v1 envelopes are the
+only request dialect the serving transports speak:
 
 * :mod:`repro.api.envelope` — typed request/response dataclasses with a
   versioned ``to_wire()``/``from_wire()`` codec (``{"v": 1, ...}``), the
@@ -13,7 +13,9 @@ versioned surface over all of them:
 * :mod:`repro.api.matcher` — the :class:`Matcher` protocol and the mixin
   that layers typed dispatch over each backend's legacy entry points;
 * :mod:`repro.api.dispatch` — the transport-free request dispatcher the
-  stdin loop and the TCP server share;
+  stdin loop and the TCP server share: one ready greeting, then one v1
+  response envelope per request line (an error envelope when the line is
+  not a valid v1 request or handling it fails);
 * :mod:`repro.api.server` — the concurrent asyncio JSONL TCP server
   (``cli serve --port``).
 
@@ -22,7 +24,7 @@ This package never imports a backend at runtime (backends import *it*), so
 protocol without import cycles.
 """
 
-from repro.api.dispatch import RequestDispatcher, ServeDefaults
+from repro.api.dispatch import RequestDispatcher
 from repro.api.encode import explain_report, mapping_record, match_response
 from repro.api.envelope import (
     DEPRECATED_TOP_WARNING,
@@ -50,7 +52,6 @@ from repro.api.validation import (
     validate_delta,
     validate_page,
     validate_query,
-    validate_top,
     validate_top_k,
 )
 
@@ -73,7 +74,6 @@ __all__ = [
     "MutationResponse",
     "PROTOCOL_VERSION",
     "RequestDispatcher",
-    "ServeDefaults",
     "StatsRequest",
     "StatsResponse",
     "check_envelope",
@@ -85,6 +85,5 @@ __all__ = [
     "validate_delta",
     "validate_page",
     "validate_query",
-    "validate_top",
     "validate_top_k",
 ]

@@ -1,30 +1,24 @@
 """The one request dispatcher behind every serving front-end.
 
-:class:`RequestDispatcher` turns one parsed JSON request into one JSON
-response dict against any :class:`~repro.api.matcher.Matcher`.  The stdin
-serve loop (``cli serve``) and the asyncio TCP server
-(:mod:`repro.api.server`) are both thin adapters over it, so protocol
-behaviour — envelope parsing, the legacy dict dialect, error classification,
-mutation bookkeeping — cannot drift between transports.
+:class:`RequestDispatcher` turns one request line into one v1 response
+envelope against any :class:`~repro.api.matcher.Matcher`.  The stdin serve
+loop (``cli serve``) and the asyncio TCP server (:mod:`repro.api.server`)
+are both thin adapters over it, so protocol behaviour — the greeting,
+envelope parsing, error classification, mutation bookkeeping — cannot drift
+between transports.
 
-Two dialects share the dispatcher:
+v1 envelopes are the only protocol: every request is parsed with
+:func:`~repro.api.envelope.parse_request`, and every response the
+dispatcher returns is a v1 envelope (``{"v": 1, "kind": ...}``).
 
-* **v1 envelopes** — any payload carrying ``"v"`` is parsed with
-  :func:`~repro.api.envelope.parse_request` and answered with a v1 response
-  envelope (including v1 :class:`~repro.api.envelope.ErrorResponse` frames);
-* **legacy dicts** — payloads without ``"v"`` keep the pre-PR serve
-  protocol (``{"personal"| "batch" | "add" | "remove" | "stats"}`` with
-  ``top``/``top_k``/``delta``).  Every pre-existing response field keeps its
-  exact shape and meaning; mutation responses additionally carry the stable
-  identifiers (``name`` on add, ``tree_id`` on remove) the tree-id shift
-  rule demands — additive only, so existing clients keep working.
-
-Robustness contract (inherited from the old serve loop, now enforced for
-every transport): *nothing* a client sends may escape as an exception.
-Expected failures — :class:`~repro.errors.ReproError` (including every
+Robustness contract: *nothing* a client sends may escape as an exception.
+Invalid JSON, a line that is not a JSON object, an object without a
+supported ``"v"``, and the expected failures —
+:class:`~repro.errors.ReproError` (including every
 :class:`~repro.errors.InvalidRequestError` the validation layer raises),
-``ValueError``, ``KeyError``, ``TypeError`` — become plain error envelopes;
-anything else additionally reports the exception class under ``"type"``.
+``ValueError``, ``KeyError``, ``TypeError`` — become
+:class:`~repro.api.envelope.ErrorResponse` frames; anything else additionally
+reports the exception class under ``"type"``.
 
 Concurrency: the dispatcher is thread-safe.  Queries and stats run under a
 shared (read) lock, mutations under an exclusive (write) lock, so the asyncio
@@ -37,11 +31,10 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.api.encode import mapping_record
 from repro.api.envelope import (
+    PROTOCOL_VERSION,
     BatchRequest,
     BatchResponse,
     ErrorResponse,
@@ -52,27 +45,10 @@ from repro.api.envelope import (
     StatsResponse,
     parse_request,
 )
-from repro.api.validation import validate_timeout_ms, validate_top
 from repro.errors import InvalidRequestError, ReproError
-from repro.resilience.deadline import Deadline
-from repro.schema.builder import TreeBuilder
 
 #: Failures a client can cause; reported without the exception class.
 _EXPECTED_ERRORS = (ReproError, ValueError, KeyError, TypeError)
-
-
-def personal_schema_from_spec(spec, name: str = "personal"):
-    """Build a personal schema from a nested JSON spec (the one shared validator).
-
-    Both the CLI front-end and the dispatcher's legacy dialect accept the
-    same shape, so they share this helper — accepting a new spec form in one
-    place cannot silently diverge the stdin path from the server path.
-    """
-    if not isinstance(spec, dict):
-        raise ReproError(
-            "a personal schema must be a JSON object mapping the root name to its children"
-        )
-    return TreeBuilder.from_nested(spec, name=name)
 
 
 class _ReadWriteLock:
@@ -122,66 +98,51 @@ class _ReadWriteLock:
             self._writer_mutex.release()
 
 
-@dataclass
-class ServeDefaults:
-    """Per-process defaults for *legacy* requests (v1 envelopes are self-contained).
-
-    ``top`` trims the printed mapping list, ``top_k`` bounds the search —
-    the very distinction the v1 protocol renames to ``limit``/``top_k``.
-    ``timeout_ms`` is the default per-request search deadline (``None`` — the
-    default — means unbounded, the pre-existing behaviour).
-    """
-
-    top: int = 10
-    top_k: Optional[int] = None
-    timeout_ms: Optional[int] = None
-
-
 class RequestDispatcher:
-    """Dispatch parsed requests against one matcher (thread-safe, transport-free)."""
+    """Dispatch v1 request lines against one matcher (thread-safe, transport-free)."""
 
-    def __init__(self, matcher, defaults: Optional[ServeDefaults] = None) -> None:
+    def __init__(self, matcher) -> None:
         self.matcher = matcher
-        self.defaults = defaults or ServeDefaults()
         self._added = 0
         self._lock = _ReadWriteLock()
 
     # -- entry points ---------------------------------------------------------
 
+    def ready_envelope(self) -> Dict[str, object]:
+        """The greeting every transport sends before its first response."""
+        repository = getattr(self.matcher, "repository", None)
+        return {
+            "v": PROTOCOL_VERSION,
+            "kind": "ready",
+            "ready": True,
+            "protocol_version": PROTOCOL_VERSION,
+            "backend": getattr(self.matcher, "backend_kind", type(self.matcher).__name__),
+            "trees": getattr(repository, "tree_count", 0),
+            "nodes": getattr(repository, "node_count", 0),
+        }
+
     def handle_line(self, line: str) -> Dict[str, object]:
-        """One raw request line in, one response dict out — never raises."""
+        """One raw request line in, one v1 response envelope out — never raises."""
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as error:
-            return {"error": str(error) or type(error).__name__}
+            return ErrorResponse(error=str(error) or type(error).__name__).to_wire()
         return self.handle_request(payload)
 
     def handle_request(self, payload: object) -> Dict[str, object]:
-        """Dispatch one parsed payload; failures become error envelopes."""
-        v1 = isinstance(payload, dict) and "v" in payload
+        """Dispatch one parsed payload; failures become v1 error envelopes."""
         try:
-            if not isinstance(payload, dict):
-                raise ReproError(
-                    f"request must be a JSON object, got {type(payload).__name__}"
-                )
-            if v1:
-                return self._handle_v1(payload)
-            return self._handle_legacy(payload)
+            return self._dispatch(parse_request(payload))
         except _EXPECTED_ERRORS as error:
-            message = str(error) or type(error).__name__
-            if v1:
-                return ErrorResponse(error=message).to_wire()
-            return {"error": message}
+            return ErrorResponse(error=str(error) or type(error).__name__).to_wire()
         except Exception as error:  # noqa: BLE001 - serving must survive anything
-            message = str(error) or type(error).__name__
-            if v1:
-                return ErrorResponse(error=message, error_type=type(error).__name__).to_wire()
-            return {"error": message, "type": type(error).__name__}
+            return ErrorResponse(
+                error=str(error) or type(error).__name__, error_type=type(error).__name__
+            ).to_wire()
 
-    # -- v1 envelopes ---------------------------------------------------------
+    # -- requests -------------------------------------------------------------
 
-    def _handle_v1(self, payload: dict) -> Dict[str, object]:
-        request = parse_request(payload)
+    def _dispatch(self, request) -> Dict[str, object]:
         if isinstance(request, MatchRequest):
             with self._lock.read():
                 return self.matcher.match(request).to_wire()
@@ -214,7 +175,6 @@ class RequestDispatcher:
                 tree_id=tree_id,
                 tree_name=tree.name,
                 trees=matcher.repository.tree_count,
-                warnings=request.warnings,
             )
         tree_id = request.tree_id
         if request.tree_name is not None:
@@ -226,7 +186,6 @@ class RequestDispatcher:
             tree_id=tree_id,
             tree_name=removed.name,
             trees=matcher.repository.tree_count,
-            warnings=request.warnings,
         )
 
     def _resolve_tree_name(self, tree_name: str) -> int:
@@ -243,123 +202,3 @@ class RequestDispatcher:
                 f"tree name {tree_name!r} is ambiguous ({len(matches)} trees); remove by tree_id"
             )
         return matches[0]
-
-    # -- the legacy dict dialect ---------------------------------------------
-
-    def _handle_legacy(self, request: dict) -> Dict[str, object]:
-        matcher = self.matcher
-        if "personal" in request:
-            personal = personal_schema_from_spec(request["personal"])
-            top_k = request.get("top_k", self.defaults.top_k)
-            top = validate_top(int(request.get("top", self.defaults.top)))
-            with self._lock.read():
-                result = matcher.match(
-                    personal,
-                    delta=request.get("delta"),
-                    top_k=None if top_k is None else int(top_k),
-                    **self._legacy_deadline(request),
-                )
-            response = {
-                "mappings": [
-                    self._legacy_mapping(personal, mapping)
-                    for mapping in result.mappings[:top]
-                ],
-                "mapping_count": len(result.mappings),
-                "elapsed_seconds": round(result.total_seconds, 6),
-            }
-            self._legacy_result_flags(response, result)
-            return response
-        if "batch" in request:
-            specs = request["batch"]
-            if not isinstance(specs, list) or not specs:
-                raise ReproError("batch must be a non-empty JSON array of personal schemas")
-            schemas = [
-                personal_schema_from_spec(spec, name=f"batch-{index}")
-                for index, spec in enumerate(specs, start=1)
-            ]
-            top_k = request.get("top_k", self.defaults.top_k)
-            top = validate_top(int(request.get("top", self.defaults.top)))
-            with self._lock.read():
-                results = matcher.match_many(
-                    schemas,
-                    delta=request.get("delta"),
-                    top_k=None if top_k is None else int(top_k),
-                    **self._legacy_deadline(request),
-                )
-            entries = []
-            for personal, result in zip(schemas, results):
-                entry = {
-                    "mappings": [
-                        self._legacy_mapping(personal, mapping)
-                        for mapping in result.mappings[:top]
-                    ],
-                    "mapping_count": len(result.mappings),
-                }
-                self._legacy_result_flags(entry, result)
-                entries.append(entry)
-            return {"results": entries, "queries": len(schemas)}
-        if "add" in request:
-            with self._lock.write():
-                self._added += 1
-                tree = TreeBuilder.from_nested(
-                    request["add"], name=str(request.get("name", f"added-{self._added}"))
-                )
-                return {
-                    "ok": True,
-                    "tree_id": matcher.add_tree(tree),
-                    "name": tree.name,
-                    "trees": matcher.repository.tree_count,
-                }
-        if "remove" in request:
-            with self._lock.write():
-                tree_id = int(request["remove"])
-                removed = matcher.remove_tree(tree_id)
-                return {
-                    "ok": True,
-                    "removed": removed.name,
-                    "tree_id": tree_id,
-                    "trees": matcher.repository.tree_count,
-                }
-        if "stats" in request:
-            with self._lock.read():
-                return {"stats": matcher.stats()}
-        raise ReproError("request needs one of: personal, batch, add, remove, stats")
-
-    def _legacy_deadline(self, request: dict) -> Dict[str, object]:
-        """The ``deadline=`` kwarg for a legacy query, or ``{}`` when unbounded.
-
-        Passed as ``**kwargs`` so foreign matchers whose ``match`` does not
-        know the keyword keep working as long as no timeout is requested.
-        """
-        timeout_ms = request.get("timeout_ms", self.defaults.timeout_ms)
-        if timeout_ms is None:
-            return {}
-        # Validate before any coercion: int("soon") would hide the field name
-        # and int(True) would launder a boolean past the type check.
-        timeout_ms = validate_timeout_ms(timeout_ms)
-        return {"deadline": Deadline.after_ms(timeout_ms)}
-
-    @staticmethod
-    def _legacy_result_flags(response: Dict[str, object], result) -> None:
-        """Mark truncated/degraded legacy responses — additive, only when true."""
-        if getattr(result, "partial", False):
-            response["partial"] = True
-        if getattr(result, "degraded", False):
-            response["degraded"] = True
-            response["skipped_shards"] = sorted(getattr(result, "skipped_shards", ()))
-
-    def _legacy_mapping(self, personal, mapping) -> Dict[str, object]:
-        return legacy_mapping_dict(self.matcher.repository, personal, mapping)
-
-
-def legacy_mapping_dict(repository, personal, mapping) -> Dict[str, object]:
-    """One mapping in the legacy response shape (paths via the one shared renderer)."""
-    record = mapping_record(repository, personal, mapping)
-    return {
-        "score": round(record.score, 6),
-        "tree": record.tree,
-        "assignment": [
-            {"personal": entry.personal, "repository": entry.repository}
-            for entry in record.assignment
-        ],
-    }

@@ -563,7 +563,6 @@ class MutationRequest:
     name: Optional[str] = None
     tree_id: Optional[int] = None
     tree_name: Optional[str] = None
-    warnings: Tuple[str, ...] = field(default=(), compare=False)
 
     kind = "mutation"
 

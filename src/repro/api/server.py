@@ -2,10 +2,10 @@
 
 ``cli serve --port`` replaces the blocking stdin loop with a real server:
 many clients connect concurrently, each speaking the same JSON-lines
-protocol the stdin loop speaks (one request per line, one response per
-line), with both the v1 envelope dialect and the legacy dict dialect
-accepted — the :class:`~repro.api.dispatch.RequestDispatcher` is shared, so
-the two transports cannot diverge.
+protocol the stdin loop speaks (one v1 request envelope per line, one v1
+response envelope per line) — the
+:class:`~repro.api.dispatch.RequestDispatcher` is shared, so the two
+transports cannot diverge.
 
 Concurrency model
 -----------------
@@ -14,8 +14,9 @@ Concurrency model
   another client, and responses are written strictly in that client's
   request order (no interleaving — the protocol has no request ids).
 * **Executor offload**: request handling is CPU work (the matching
-  pipeline), so it runs on a thread pool via ``run_in_executor`` — the event
-  loop stays responsive for accepts, reads and writes while queries crunch.
+  pipeline), so it runs on a thread pool of ``max_in_flight`` threads via
+  ``run_in_executor`` — the event loop stays responsive for accepts, reads
+  and writes while queries crunch.
 * **Bounded in-flight requests**: a global semaphore caps how many requests
   may execute concurrently across all connections (admission control's
   simplest form); excess requests queue at their connection in arrival
@@ -23,11 +24,11 @@ Concurrency model
 * **Mutation safety**: the dispatcher's readers-writer lock lets queries
   from many clients overlap while ``add``/``remove`` runs exclusively.
 
-On connect the server sends one ``{"v": 1, "kind": "ready", ...}`` line so
-clients can sync before issuing requests.  :meth:`MatcherServer.stop` is the
-graceful shutdown: the listener closes, connections get a drain window for
-their in-flight requests, stragglers are cancelled, the thread pool shuts
-down.
+On connect the server sends the dispatcher's ``{"v": 1, "kind": "ready",
+...}`` line so clients can sync before issuing requests.
+:meth:`MatcherServer.stop` is the graceful shutdown: the listener closes,
+connections get a drain window for their in-flight requests, stragglers are
+cancelled, the thread pool shuts down.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import signal
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Set
 
-from repro.api.dispatch import RequestDispatcher, ServeDefaults
-from repro.api.envelope import PROTOCOL_VERSION, ErrorResponse
+from repro.api.dispatch import RequestDispatcher
+from repro.api.envelope import ErrorResponse
 
 #: Default cap on a single request line (protects the server from unbounded
 #: buffering on a garbage stream; generous for real schema payloads).
@@ -52,7 +53,7 @@ _OVERSIZED_EOF = object()
 
 
 class MatcherServer:
-    """Serve one matcher over TCP (JSON lines, v1 envelopes + legacy dicts)."""
+    """Serve one matcher over TCP (JSON lines of v1 envelopes)."""
 
     def __init__(
         self,
@@ -60,9 +61,7 @@ class MatcherServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        defaults: Optional[ServeDefaults] = None,
         max_in_flight: int = 8,
-        worker_threads: Optional[int] = None,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
     ) -> None:
         if max_in_flight < 1:
@@ -70,10 +69,9 @@ class MatcherServer:
         self.matcher = matcher
         self.host = host
         self.port = port
-        self.dispatcher = RequestDispatcher(matcher, defaults)
+        self.dispatcher = RequestDispatcher(matcher)
         self.max_in_flight = max_in_flight
         self.max_line_bytes = max_line_bytes
-        self._worker_threads = worker_threads or max_in_flight
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
@@ -93,7 +91,7 @@ class MatcherServer:
         self._closing = False
         self._connections = set()
         self._pool = ThreadPoolExecutor(
-            max_workers=self._worker_threads, thread_name_prefix="repro-api"
+            max_workers=self.max_in_flight, thread_name_prefix="repro-api"
         )
         self._semaphore = asyncio.Semaphore(self.max_in_flight)
         self._stop_event = asyncio.Event()
@@ -133,18 +131,6 @@ class MatcherServer:
 
     # -- connections ----------------------------------------------------------
 
-    def _ready_envelope(self) -> dict:
-        repository = getattr(self.matcher, "repository", None)
-        return {
-            "v": PROTOCOL_VERSION,
-            "kind": "ready",
-            "ready": True,
-            "protocol_version": PROTOCOL_VERSION,
-            "backend": getattr(self.matcher, "backend_kind", type(self.matcher).__name__),
-            "trees": getattr(repository, "tree_count", 0),
-            "nodes": getattr(repository, "node_count", 0),
-        }
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -155,7 +141,7 @@ class MatcherServer:
         assert self._stop_event is not None
         stop_waiter = asyncio.ensure_future(self._stop_event.wait())
         try:
-            await self._send(writer, self._ready_envelope())
+            await self._send(writer, self.dispatcher.ready_envelope())
             while not self._closing:
                 read_task = asyncio.ensure_future(self._read_frame(reader))
                 # Wake on either the next request line or server shutdown, so
@@ -252,9 +238,7 @@ def run_server(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    defaults: Optional[ServeDefaults] = None,
     max_in_flight: int = 8,
-    worker_threads: Optional[int] = None,
     drain_timeout: float = 5.0,
     on_ready=None,
 ) -> int:
@@ -268,14 +252,7 @@ def run_server(
     """
 
     async def _main() -> None:
-        server = MatcherServer(
-            matcher,
-            host=host,
-            port=port,
-            defaults=defaults,
-            max_in_flight=max_in_flight,
-            worker_threads=worker_threads,
-        )
+        server = MatcherServer(matcher, host=host, port=port, max_in_flight=max_in_flight)
         await server.start()
         if on_ready is not None:
             on_ready(server)

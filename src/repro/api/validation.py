@@ -59,15 +59,6 @@ def validate_query(delta: Optional[float], top_k: Optional[int]) -> None:
     validate_top_k(top_k)
 
 
-def validate_top(top: int) -> int:
-    """Check a legacy serve-protocol ``top`` print limit (non-negative int)."""
-    if isinstance(top, bool) or not isinstance(top, int):
-        raise InvalidRequestError(f"top must be a non-negative integer, got {top!r}")
-    if top < 0:
-        raise InvalidRequestError(f"top must be non-negative, got {top}")
-    return top
-
-
 def validate_page(offset: int, limit: Optional[int]) -> None:
     """Check result-page parameters (``offset`` >= 0, ``limit`` ``None`` or >= 0)."""
     if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:

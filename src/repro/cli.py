@@ -27,13 +27,13 @@ Nine subcommands cover the typical usage of the library without writing code:
     state) — or a whole batch of them from a JSON-lines file (``--batch``).
 
 ``serve``
-    Load a snapshot (or a shard set) and answer a stream of queries: one JSON
-    document per stdin line, one JSON result per stdout line, until EOF —
-    or, with ``--port``, a concurrent asyncio JSONL TCP server for many
-    simultaneous clients.  ``{"add": ...}`` and ``{"remove": ...}`` lines
-    mutate the live repository incrementally; ``{"batch": [...]}`` answers
-    many queries in one request; typed v1 envelopes (``{"v": 1, ...}``, see
-    :mod:`repro.api`) are accepted on the same stream.
+    Load a snapshot (or a shard set) and answer a stream of v1 request
+    envelopes (``{"v": 1, "kind": ...}``, see :mod:`repro.api`): one per
+    stdin line, one v1 response envelope per stdout line, until EOF — or,
+    with ``--port``, a concurrent asyncio JSONL TCP server for many
+    simultaneous clients.  ``mutation`` envelopes add or remove trees in the
+    live repository incrementally; ``batch`` envelopes answer many queries in
+    one request.
 
 ``shard``
     Manage shard sets: ``split`` partitions a repository into N per-shard
@@ -66,7 +66,7 @@ Examples
         --router size-balanced --out-dir ./shards
     python -m repro.cli shard status --manifest ./shards/manifest.json
     python -m repro.cli query --shards ./shards/manifest.json --batch queries.jsonl --workers 4
-    echo '{"personal": {"person": ["name", "email"]}}' | \\
+    echo '{"v": 1, "kind": "match", "schema": {"person": ["name", "email"]}}' | \\
         python -m repro.cli serve --shards ./shards/manifest.json --workers 4
     python -m repro.cli ingest run --run-dir ./run --bundled --source-dir ./schemas
     python -m repro.cli ingest resume --run-dir ./run --bundled --source-dir ./schemas
@@ -387,9 +387,12 @@ def _close_service(service) -> None:
 
 
 def _personal_schema_from_spec(spec, name: str = "personal"):
-    from repro.api.dispatch import personal_schema_from_spec
-
-    return personal_schema_from_spec(spec, name=name)
+    """Build a personal schema from a nested JSON spec (``--personal``, ``--batch``)."""
+    if not isinstance(spec, dict):
+        raise ReproError(
+            "a personal schema must be a JSON object mapping the root name to its children"
+        )
+    return TreeBuilder.from_nested(spec, name=name)
 
 
 def _load_batch_file(path_text: str):
@@ -453,22 +456,15 @@ def _command_query(args: argparse.Namespace) -> int:
 
 def _run_query(service, args: argparse.Namespace, deadline_kwargs) -> int:
     if args.batch:
+        from repro.api.encode import match_response
+        from repro.api.envelope import MatchOptions
+
         schemas = _load_batch_file(args.batch)
         results = _match_many(service, schemas, args.delta, args.top_k, deadline_kwargs)
+        page = MatchOptions(limit=args.top)
         for personal, result in zip(schemas, results):
-            document = {
-                "mappings": [
-                    _mapping_to_dict(service.repository, personal, mapping)
-                    for mapping in result.mappings[: args.top]
-                ],
-                "mapping_count": len(result.mappings),
-            }
-            if getattr(result, "partial", False):
-                document["partial"] = True
-            if getattr(result, "degraded", False):
-                document["degraded"] = True
-                document["skipped_shards"] = sorted(getattr(result, "skipped_shards", ()))
-            print(json.dumps(document))
+            response = match_response(service.repository, personal, result, page)
+            print(json.dumps(response.to_wire()))
         if hasattr(service, "match_many"):
             # Both bundled services deduplicate batches by fingerprint now
             # (the sharded front-end since PR 4, the base service since the
@@ -500,40 +496,26 @@ def _run_query(service, args: argparse.Namespace, deadline_kwargs) -> int:
     return 0
 
 
-def _mapping_to_dict(repository, personal, mapping) -> dict:
-    from repro.api.dispatch import legacy_mapping_dict
-
-    return legacy_mapping_dict(repository, personal, mapping)
-
-
-def _serve_defaults(args: argparse.Namespace):
-    from repro.api.dispatch import ServeDefaults
-
-    return ServeDefaults(
-        top=args.top, top_k=args.top_k, timeout_ms=getattr(args, "timeout_ms", None)
-    )
-
-
-def serve_loop(service, lines, out, args: argparse.Namespace) -> int:
-    """The JSON-lines request loop: one response per request line, no matter what.
+def serve_loop(service, lines, out) -> int:
+    """The JSON-lines request loop: one v1 envelope per request line, no matter what.
 
     A thin adapter over the shared :class:`repro.api.dispatch.RequestDispatcher`
     — the same dispatcher the asyncio TCP server uses, so the stdin and TCP
-    transports speak literally the same protocol: the legacy dict dialect
-    (``{"personal" | "batch" | "add" | "remove" | "stats"}``) *and* v1
-    envelopes (any line carrying ``{"v": 1, "kind": ...}``).
+    transports speak literally the same protocol: the dispatcher's ready
+    envelope first, then one v1 response envelope per v1 request envelope.
 
     Robustness contract: *nothing* a client sends — invalid JSON, a JSON line
-    that is not an object (``[1, 2]``, ``"hello"``), a structurally broken
-    schema specification, or an unexpected exception anywhere inside request
-    handling — may ever escape as a traceback and kill the server.  Every
-    failure is reported as an ``{"error": ...}`` JSON envelope (with the
-    exception class in ``"type"`` for unexpected errors) and the loop moves on
-    to the next line.
+    that is not an object (``[1, 2]``, ``"hello"``), an object without
+    ``"v"``, a structurally broken schema specification, or an unexpected
+    exception anywhere inside request handling — may ever escape as a
+    traceback and kill the server.  Every failure is reported as a v1
+    ``{"kind": "error", ...}`` envelope (with the exception class in
+    ``"type"`` for unexpected errors) and the loop moves on to the next line.
     """
     from repro.api.dispatch import RequestDispatcher
 
-    dispatcher = RequestDispatcher(service, _serve_defaults(args))
+    dispatcher = RequestDispatcher(service)
+    print(json.dumps(dispatcher.ready_envelope()), file=out, flush=True)
     for line in lines:
         line = line.strip()
         if not line:
@@ -545,22 +527,23 @@ def serve_loop(service, lines, out, args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     """Serve queries over stdin (default) or a concurrent TCP port (``--port``).
 
-    Request documents: ``{"personal": {...}, "delta"?, "top"?, "top_k"?}``
-    runs a query (``top_k`` bounds the *search* to the k best mappings with
-    cross-cluster pruning; ``top`` only trims the printed list);
-    ``{"add": {...}, "name"?}`` registers a new tree incrementally;
-    ``{"remove": <tree_id>}`` unregisters one; ``{"stats": true}`` reports the
-    service counters.  Typed v1 envelopes (``{"v": 1, "kind": "match" |
-    "batch" | "mutation" | "stats", ...}`` — see :mod:`repro.api.envelope`)
-    are accepted on the same stream.  One JSON response per line; malformed
-    or failing requests produce an ``{"error": ...}`` response instead of
-    terminating the loop (see :func:`serve_loop`).
+    Requests are v1 envelopes (see :mod:`repro.api.envelope`):
+    ``{"v": 1, "kind": "match", "schema": {...}, "options"?: {...}}`` runs a
+    query (``options.top_k`` bounds the *search* to the k best mappings with
+    cross-cluster pruning; ``offset``/``limit`` page the answer;
+    ``timeout_ms`` sets its deadline); ``"kind": "batch"`` runs many;
+    ``"kind": "mutation"`` adds or removes a tree incrementally;
+    ``"kind": "stats"`` reports the service counters.  Each transport greets
+    with one ``{"v": 1, "kind": "ready"}`` envelope, then answers every
+    request line with one v1 envelope; malformed or failing requests produce
+    a ``{"kind": "error"}`` envelope instead of terminating the loop (see
+    :func:`serve_loop`).
 
     Tree ids are positional: removing a tree shifts every later tree's id
     down by one (see :meth:`SchemaRepository.remove_tree`), so ids returned by
     earlier ``add`` responses are invalidated by any ``remove``.  Mutation
     responses therefore echo the stable tree *name* alongside the positional
-    id, and v1 removals may target ``tree_name`` instead of ``tree_id``.
+    id, and removals may target ``tree_name`` instead of ``tree_id``.
 
     With ``--shards`` the same protocol runs against a sharded service:
     ``batch`` requests dedup + fan out across shards, ``stats`` adds a
@@ -569,9 +552,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     With ``--port`` the process listens on a TCP socket instead of stdin:
     many clients connect concurrently (JSON lines per connection, one
-    ``{"v": 1, "kind": "ready"}`` greeting each), request handling is
-    offloaded to a thread pool with at most ``--max-in-flight`` requests
-    executing at once, and SIGINT/SIGTERM shut the server down gracefully.
+    greeting each), request handling is offloaded to a thread pool with at
+    most ``--max-in-flight`` requests executing at once, and SIGINT/SIGTERM
+    shut the server down gracefully.
     """
     service = _load_service_argument(args)
     try:
@@ -601,7 +584,6 @@ def _run_serve(service, args: argparse.Namespace) -> int:
                 service,
                 host=args.host,
                 port=args.port,
-                defaults=_serve_defaults(args),
                 max_in_flight=args.max_in_flight,
                 drain_timeout=args.drain_timeout,
                 on_ready=_announce,
@@ -612,13 +594,7 @@ def _run_serve(service, args: argparse.Namespace) -> int:
             raise ReproError(str(exc)) from exc
         except OSError as exc:
             raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
-    print(
-        json.dumps(
-            {"ready": True, "trees": service.repository.tree_count, "nodes": service.repository.node_count}
-        ),
-        flush=True,
-    )
-    return serve_loop(service, sys.stdin, sys.stdout, args)
+    return serve_loop(service, sys.stdin, sys.stdout)
 
 
 def _make_router_argument(router_name: str, max_fragment_size: int):
@@ -849,11 +825,6 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     """The resilience flags ``query`` and ``serve`` share."""
     parser.add_argument(
-        "--timeout-ms", type=int, default=None, dest="timeout_ms",
-        help="per-query search deadline in milliseconds; on expiry the best mappings "
-        "found so far are returned, marked partial (default: unbounded)",
-    )
-    parser.add_argument(
         "--retries", type=int, default=None,
         help="with --shards: attempts per shard query before the shard is skipped "
         "and the answer degrades to the surviving shards (default: fail fast)",
@@ -932,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--personal", help="personal schema as nested JSON")
     query_parser.add_argument(
         "--batch",
-        help="JSON-lines file of personal schemas ('-' for stdin); prints one JSON result per line",
+        help="JSON-lines file of personal schemas ('-' for stdin); prints one v1 match_response per line",
     )
     query_parser.add_argument("--delta", type=float, default=None, help="override the snapshot's δ")
     query_parser.add_argument("--top", type=int, default=10, help="number of mappings to print")
@@ -948,6 +919,11 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
         help="query-cache capacity override (entries; 0 disables; default: the snapshot's setting)",
+    )
+    query_parser.add_argument(
+        "--timeout-ms", type=int, default=None, dest="timeout_ms",
+        help="per-query search deadline in milliseconds; on expiry the best mappings "
+        "found so far are returned, marked partial (default: unbounded)",
     )
     _add_resilience_arguments(query_parser)
     query_parser.set_defaults(handler=_command_query)
@@ -965,11 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--max-in-flight", type=int, default=8, dest="max_in_flight",
         help="bound on concurrently executing requests across all TCP connections",
-    )
-    serve_parser.add_argument("--top", type=int, default=10, help="default mappings per response")
-    serve_parser.add_argument(
-        "--top-k", type=int, default=None, dest="top_k",
-        help="default search bound per query (requests may override with \"top_k\")",
     )
     serve_parser.add_argument("--workers", type=int, default=1, help="per-cluster generation workers")
     serve_parser.add_argument(

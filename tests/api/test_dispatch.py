@@ -1,15 +1,16 @@
-"""The shared request dispatcher: v1 envelopes, legacy dialect, mutations."""
+"""The shared request dispatcher: v1 envelopes, errors, mutations, deadlines."""
 
 import json
 
 import pytest
 
 from _backends import small_repository_factory
-from repro.api.dispatch import RequestDispatcher, ServeDefaults
+from repro.api.dispatch import RequestDispatcher
 from repro.api.envelope import (
     DEPRECATED_TOP_WARNING,
     PROTOCOL_VERSION,
     BatchRequest,
+    MatchOptions,
     MatchRequest,
     StatsRequest,
 )
@@ -24,7 +25,7 @@ def service():
 
 @pytest.fixture
 def dispatcher(service):
-    return RequestDispatcher(service, ServeDefaults(top=10, top_k=None))
+    return RequestDispatcher(service)
 
 
 class TestV1Match:
@@ -84,11 +85,6 @@ class TestV1Stats:
         card = response["stats"]
         assert card["backend"] == "service"
         assert "match_many" in card["capabilities"]
-
-    def test_legacy_stats_surfaces_the_same_enriched_dict(self, dispatcher):
-        legacy = dispatcher.handle_request({"stats": True})
-        assert legacy["stats"]["backend"] == "service"
-        assert legacy["stats"]["protocol_version"] == PROTOCOL_VERSION
 
 
 class TestV1Mutations:
@@ -154,28 +150,22 @@ class TestV1Mutations:
         assert "does not support mutations" in response["error"]
 
 
-class TestLegacyDialect:
-    """The pre-PR serve protocol keeps working bit-for-bit (plus name fields)."""
-
-    def test_legacy_add_and_remove_report_names_and_ids(self, dispatcher):
-        added = dispatcher.handle_request({"add": {"zqx": ["zz"]}, "name": "legacy-tree"})
-        assert added["ok"] is True
+    def test_remove_by_positional_id_reports_the_removed_name(self, dispatcher):
+        added = dispatcher.handle_request(
+            {"v": 1, "kind": "mutation", "action": "add", "schema": {"zqx": ["zz"]}, "name": "t"}
+        )
         assert added["tree_id"] == 3
-        assert added["name"] == "legacy-tree"
-        assert added["trees"] == 4
-        removed = dispatcher.handle_request({"remove": 3})
+        removed = dispatcher.handle_request(
+            {"v": 1, "kind": "mutation", "action": "remove", "tree_id": 3}
+        )
+        assert removed["kind"] == "mutation_response"
         assert removed["ok"] is True
-        assert removed["removed"] == "legacy-tree"
+        assert removed["tree_name"] == "t"
         assert removed["tree_id"] == 3
         assert removed["trees"] == 3
 
-    def test_legacy_top_still_trims_the_printed_list_only(self, dispatcher):
-        response = dispatcher.handle_request(
-            {"personal": {"person": ["name", "email"]}, "top": 1}
-        )
-        assert len(response["mappings"]) <= 1
-        assert response["mapping_count"] >= len(response["mappings"])
 
+class TestRobustness:
     def test_mutation_is_not_starved_by_a_sustained_query_stream(self, dispatcher):
         # Writer preference: with queries continuously holding the read lock
         # from several threads, an add must still get through promptly.
@@ -183,9 +173,11 @@ class TestLegacyDialect:
 
         stop = threading.Event()
 
+        query = MatchRequest(schema={"person": ["name"]}, options=MatchOptions(limit=1))
+
         def query_forever():
             while not stop.is_set():
-                dispatcher.handle_request({"personal": {"person": ["name"]}, "top": 1})
+                dispatcher.handle_request(query.to_wire())
 
         readers = [threading.Thread(target=query_forever) for _ in range(4)]
         for thread in readers:
@@ -196,7 +188,13 @@ class TestLegacyDialect:
 
             def mutate():
                 result["response"] = dispatcher.handle_request(
-                    {"add": {"zqx": ["zz"]}, "name": "under-load"}
+                    {
+                        "v": 1,
+                        "kind": "mutation",
+                        "action": "add",
+                        "schema": {"zqx": ["zz"]},
+                        "name": "under-load",
+                    }
                 )
                 done.set()
 
@@ -209,34 +207,33 @@ class TestLegacyDialect:
                 thread.join()
 
     def test_handle_line_survives_garbage(self, dispatcher):
-        assert "error" in dispatcher.handle_line("not json at all")
+        assert dispatcher.handle_line("not json at all")["kind"] == "error"
         assert "must be a JSON object" in dispatcher.handle_line("[1, 2]")["error"]
-        response = dispatcher.handle_line(json.dumps({"personal": {"person": ["name"]}}))
-        assert "mappings" in response
+        response = dispatcher.handle_line(
+            json.dumps(MatchRequest(schema={"person": ["name"]}).to_wire())
+        )
+        assert response["kind"] == "match_response"
 
 
 class TestDeadlinesAndResultFlags:
-    def test_legacy_timeout_ms_is_accepted_and_harmless_when_generous(self, dispatcher):
-        response = dispatcher.handle_request(
-            {"personal": {"person": ["name"]}, "top": 1, "timeout_ms": 3_600_000}
-        )
-        assert "mappings" in response
+    def test_timeout_ms_is_accepted_and_harmless_when_generous(self, dispatcher):
+        wire = MatchRequest(
+            schema={"person": ["name"]}, options=MatchOptions(timeout_ms=3_600_000)
+        ).to_wire()
+        response = dispatcher.handle_request(wire)
+        assert response["kind"] == "match_response"
         # A deadline that never fires leaves the response unmarked.
-        assert "partial" not in response and "degraded" not in response
+        assert response["partial"] is False and response["degraded"] is False
 
     @pytest.mark.parametrize("bad", [0, -5, "soon", True])
-    def test_legacy_invalid_timeout_ms_is_a_clean_error(self, dispatcher, bad):
-        response = dispatcher.handle_request(
-            {"personal": {"person": ["name"]}, "timeout_ms": bad}
-        )
+    def test_invalid_timeout_ms_is_a_clean_error(self, dispatcher, bad):
+        wire = MatchRequest(schema={"person": ["name"]}).to_wire()
+        wire["options"]["timeout_ms"] = bad
+        response = dispatcher.handle_request(wire)
+        assert response["kind"] == "error"
         assert "timeout_ms" in response["error"]
 
-    def test_serve_default_timeout_applies_when_the_request_has_none(self, service):
-        dispatcher = RequestDispatcher(service, ServeDefaults(timeout_ms=3_600_000))
-        response = dispatcher.handle_request({"personal": {"person": ["name"]}, "top": 1})
-        assert "mappings" in response and "partial" not in response
-
-    def test_partial_and_degraded_flags_surface_in_both_dialects(self):
+    def test_partial_and_degraded_flags_surface_in_the_response(self):
         import dataclasses
 
         class FlaggedService(MatchingService):
@@ -251,10 +248,6 @@ class TestDeadlinesAndResultFlags:
         flagged = RequestDispatcher(
             FlaggedService(small_repository_factory(), element_threshold=0.5, delta=0.6)
         )
-        legacy = flagged.handle_request({"personal": {"person": ["name"]}, "top": 1})
-        assert legacy["partial"] is True
-        assert legacy["degraded"] is True
-        assert legacy["skipped_shards"] == [1]
         typed = flagged.handle_request(MatchRequest(schema={"person": ["name"]}).to_wire())
         assert typed["kind"] == "match_response"
         assert typed["partial"] is True

@@ -13,6 +13,9 @@ from repro.shard import ShardedMatchingService
 
 CLIENTS = 8
 
+#: One small v1 query, for tests that need any answerable request.
+QUERY = MatchRequest(schema={"person": ["name"]}, options=MatchOptions(limit=1)).to_wire()
+
 
 def make_service():
     return MatchingService(small_repository_factory(), element_threshold=0.5, delta=0.6)
@@ -47,8 +50,11 @@ class TestConcurrentClients:
                     options=MatchOptions(top_k=2, explain=True),
                 ).to_wire(),
             )
-            # 2: legacy query
-            await send_json(writer, {"personal": {"book": ["title"]}, "top": 2})
+            # 2: v1 query, paged
+            await send_json(
+                writer,
+                MatchRequest(schema={"book": ["title"]}, options=MatchOptions(limit=2)).to_wire(),
+            )
             # 3: malformed line
             writer.write(b"this is not json\n")
             await writer.drain()
@@ -78,8 +84,9 @@ class TestConcurrentClients:
             # Responses arrive strictly in request order, envelope per request.
             assert responses[0]["kind"] == "match_response"
             assert responses[0]["explain"]["useful_clusters"] >= 1
-            assert "mappings" in responses[1] and "v" not in responses[1]
-            assert "error" in responses[2]
+            assert responses[1]["kind"] == "match_response"
+            assert len(responses[1]["mappings"]) <= 2
+            assert responses[2]["kind"] == "error"
             assert responses[3]["kind"] == "mutation_response"
             assert responses[3]["tree_name"] == f"client-{index}"
             assert responses[4]["kind"] == "stats_response"
@@ -167,14 +174,14 @@ class TestLifecycle:
             await server.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             await read_json(reader)
-            await send_json(writer, {"personal": {"person": ["name"]}, "top": 1})
+            await send_json(writer, QUERY)
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, started.wait, 5)
             # Shut down while the request is executing: the drain window must
             # let it finish and its response reach the client before close.
             stop_task = asyncio.ensure_future(server.stop(drain_timeout=10.0))
             response = await read_json(reader)
-            assert "mappings" in response
+            assert response["kind"] == "match_response"
             await stop_task
             assert await reader.readline() == b""
             writer.close()
@@ -190,9 +197,9 @@ class TestLifecycle:
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 await read_json(reader)
-                await send_json(writer, {"personal": {"person": ["name"]}, "top": 1})
+                await send_json(writer, QUERY)
                 response = await read_json(reader)
-                assert "mappings" in response  # requests are answered, not dropped
+                assert response["kind"] == "match_response"  # answered, not dropped
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -218,16 +225,16 @@ class TestLifecycle:
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 await read_json(reader)
-                writer.write(b'{"personal": {"' + b"x" * 4096 + b'": []}}\n')
+                writer.write(b'{"v": 1, "kind": "match", "schema": {"' + b"x" * 4096 + b'": []}}\n')
                 await writer.drain()
                 response = await read_json(reader)
                 assert response["kind"] == "error"
                 assert "exceeds" in response["error"]
                 # The server resynchronizes on the line terminator: the same
                 # connection keeps answering well-formed requests.
-                await send_json(writer, {"personal": {"person": ["name"]}, "top": 1})
+                await send_json(writer, QUERY)
                 follow_up = await read_json(reader)
-                assert "mappings" in follow_up
+                assert follow_up["kind"] == "match_response"
                 writer.close()
             finally:
                 await server.stop()

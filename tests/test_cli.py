@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
-import argparse
+import asyncio
 import io
 import json
 
 import pytest
 
+from repro.api.envelope import MatchResponse
+from repro.api.server import MatcherServer
 from repro.cli import main, serve_loop
 from repro.schema.builder import TreeBuilder
 from repro.schema.serialization import save_repository
@@ -134,13 +136,66 @@ class TestSnapshotQueryCommands:
         assert "useful clusters" in output
 
 
-def _serve(service, lines, top=5, top_k=None):
-    """Run the serve loop over literal request lines; return parsed responses."""
+#: A valid v1 query; each transport must still answer it after a bad line.
+MATCH_LINE = '{"v": 1, "kind": "match", "schema": {"person": ["name", "email"]}}'
+
+#: (request line, error fragment): lines a v1 server answers with exactly one
+#: error envelope, without the exception class under "type".
+BAD_LINES = [
+    pytest.param("not json at all", "Expecting value", id="invalid-json"),
+    pytest.param("[1, 2]", "must be a JSON object", id="array"),
+    pytest.param('"hello"', "must be a JSON object", id="string"),
+    pytest.param("42", "must be a JSON object", id="number"),
+    pytest.param("null", "must be a JSON object", id="null"),
+    pytest.param('{"kind": "stats"}', "unsupported protocol version None", id="no-version"),
+    pytest.param(
+        '{"personal": {"person": ["name", "email"]}, "top": 1}',
+        "unsupported protocol version None",
+        id="legacy-dict",
+    ),
+    pytest.param(
+        '{"v": 1, "kind": "frobnicate"}', "unknown request kind 'frobnicate'", id="unknown-kind"
+    ),
+    pytest.param(
+        '{"v": 1, "kind": "match", "schema": {"person": ["name"]}, "options": {"limit": -1}}',
+        "limit must be a non-negative integer",
+        id="negative-limit",
+    ),
+]
+
+
+def _stdin_transcript(service, lines):
+    """Every line the stdin serve loop writes for ``lines``, parsed."""
     out = io.StringIO()
-    args = argparse.Namespace(top=top, top_k=top_k)
-    exit_code = serve_loop(service, lines, out, args)
-    assert exit_code == 0
+    assert serve_loop(service, lines, out) == 0
     return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _tcp_transcript(service, lines):
+    """Every line a ``MatcherServer`` writes for ``lines`` sent on one connection."""
+
+    async def exchange():
+        server = MatcherServer(service, port=0)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write("".join(line + "\n" for line in lines).encode())
+            writer.write_eof()
+            output = await asyncio.wait_for(reader.read(), timeout=60)
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.stop()
+        return output
+
+    return [json.loads(line) for line in asyncio.run(exchange()).decode().splitlines()]
+
+
+def _serve(service, lines):
+    """Run the serve loop over literal request lines; return the responses after its greeting."""
+    ready, *responses = _stdin_transcript(service, lines)
+    assert ready["kind"] == "ready"
+    return responses
 
 
 class TestServeLoop:
@@ -149,71 +204,75 @@ class TestServeLoop:
         return MatchingService(synthetic_repository, element_threshold=0.5)
 
     def test_valid_query_answers_with_mappings(self, service):
-        (response,) = _serve(service, ['{"personal": {"person": ["name", "email"]}}'])
-        assert "mappings" in response
+        (response,) = _serve(service, [MATCH_LINE])
+        assert response["kind"] == "match_response"
         assert response["mapping_count"] >= 0
 
-    def test_non_dict_json_lines_produce_error_envelopes(self, service):
-        responses = _serve(
-            service,
-            [
-                "[1, 2]",
-                '"hello"',
-                "42",
-                "null",
-                '{"personal": {"person": ["name", "email"]}}',
-            ],
-        )
-        assert len(responses) == 5
-        for bad in responses[:4]:
-            assert "error" in bad and "must be a JSON object" in bad["error"]
-        assert "mappings" in responses[4]  # the loop survived every bad line
+    @pytest.mark.parametrize("line, message", BAD_LINES)
+    def test_a_bad_line_gets_one_error_envelope_on_both_transports(self, service, line, message):
+        for transcript in (_stdin_transcript, _tcp_transcript):
+            ready, error, answer = transcript(service, [line, MATCH_LINE])
+            assert ready["kind"] == "ready"
+            assert error["v"] == 1 and error["kind"] == "error", transcript.__name__
+            assert message in error["error"]
+            assert "type" not in error
+            assert answer["kind"] == "match_response"  # the transport survived
 
-    def test_invalid_json_produces_error_envelope(self, service):
-        responses = _serve(service, ["not json at all", '{"stats": true}'])
-        assert "error" in responses[0]
-        assert "stats" in responses[1]
-
-    def test_unknown_request_kind_is_an_error(self, service):
-        (response,) = _serve(service, ['{"frobnicate": 1}'])
-        assert "personal, batch, add, remove, stats" in response["error"]
-
-    def test_negative_top_is_an_error_not_a_mis_slice(self, service):
-        (response,) = _serve(
-            service, ['{"personal": {"person": ["name", "email"]}, "top": -1}']
-        )
-        assert "top must be non-negative" in response["error"]
-
-    def test_unexpected_exception_keeps_the_loop_alive(self, service, monkeypatch):
-        calls = {"count": 0}
+    def test_a_raising_backend_gets_a_typed_error_envelope_on_both_transports(
+        self, service, monkeypatch
+    ):
         original = MatchingService.match
+        calls = {"count": 0}
 
-        def flaky_match(self, personal_schema, **kwargs):
+        def flaky_match(self, request, **kwargs):
             calls["count"] += 1
-            if calls["count"] == 1:
+            if calls["count"] % 2 == 1:
                 raise RuntimeError("simulated internal failure")
-            return original(self, personal_schema, **kwargs)
+            return original(self, request, **kwargs)
 
         monkeypatch.setattr(MatchingService, "match", flaky_match)
-        responses = _serve(
-            service,
-            [
-                '{"personal": {"person": ["name", "email"]}}',
-                '{"personal": {"person": ["name", "email"]}}',
-            ],
-        )
-        assert responses[0] == {"error": "simulated internal failure", "type": "RuntimeError"}
-        assert "mappings" in responses[1]
+        for transcript in (_stdin_transcript, _tcp_transcript):
+            ready, error, answer = transcript(service, [MATCH_LINE, MATCH_LINE])
+            assert ready["kind"] == "ready"
+            assert error == {
+                "v": 1,
+                "kind": "error",
+                "error": "simulated internal failure",
+                "warnings": [],
+                "type": "RuntimeError",
+            }
+            assert answer["kind"] == "match_response"
+
+    def test_the_stdin_greeting_is_the_tcp_ready_envelope(
+        self, service, tmp_path, monkeypatch, capsys
+    ):
+        from repro.service import load_snapshot, write_snapshot
+
+        snapshot_path = tmp_path / "serve.snapshot.json"
+        write_snapshot(service, snapshot_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["serve", "--snapshot", str(snapshot_path)]) == 0
+        (stdin_ready,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        (tcp_ready,) = _tcp_transcript(load_snapshot(snapshot_path), [])
+        assert stdin_ready == tcp_ready
+        assert stdin_ready["ready"] is True and tcp_ready["ready"] is True
 
     def test_blank_lines_are_skipped(self, service):
-        responses = _serve(service, ["", "   ", '{"stats": true}'])
+        responses = _serve(service, ["", "   ", '{"v": 1, "kind": "stats"}'])
         assert len(responses) == 1
 
     def test_batch_request_answers_every_query(self, service):
-        (response,) = _serve(
-            service,
-            [json.dumps({"batch": [{"person": ["name", "email"]}, {"book": ["title"]}], "top": 2})],
-        )
+        page = {"limit": 2}
+        batch = {
+            "v": 1,
+            "kind": "batch",
+            "requests": [
+                {"v": 1, "kind": "match", "schema": {"person": ["name", "email"]}, "options": page},
+                {"v": 1, "kind": "match", "schema": {"book": ["title"]}, "options": page},
+            ],
+        }
+        (response,) = _serve(service, [json.dumps(batch)])
+        assert response["kind"] == "batch_response"
         assert response["queries"] == 2
         assert len(response["results"]) == 2
         for entry in response["results"]:
@@ -221,28 +280,51 @@ class TestServeLoop:
             assert len(entry["mappings"]) <= 2
 
     def test_empty_or_non_list_batch_is_an_error(self, service):
-        responses = _serve(service, ['{"batch": []}', '{"batch": {"a": []}}'])
+        responses = _serve(
+            service,
+            [
+                '{"v": 1, "kind": "batch", "requests": []}',
+                '{"v": 1, "kind": "batch", "requests": {"a": []}}',
+            ],
+        )
         for response in responses:
-            assert "non-empty JSON array" in response["error"]
+            assert response["kind"] == "error"
+            assert "non-empty 'requests' array" in response["error"]
 
     def test_mutations_and_top_k_through_the_loop(self, service):
         responses = _serve(
             service,
             [
-                json.dumps({"add": {"zqxroot": ["zqxchild"]}, "name": "served-tree"}),
-                json.dumps({"personal": {"zqxroot": ["zqxchild"]}, "top_k": 1}),
-                json.dumps({"remove": 10**9}),  # invalid id: error envelope, not a crash
-                json.dumps({"stats": True}),
+                json.dumps(
+                    {
+                        "v": 1,
+                        "kind": "mutation",
+                        "action": "add",
+                        "schema": {"zqxroot": ["zqxchild"]},
+                        "name": "served-tree",
+                    }
+                ),
+                json.dumps(
+                    {
+                        "v": 1,
+                        "kind": "match",
+                        "schema": {"zqxroot": ["zqxchild"]},
+                        "options": {"top_k": 1},
+                    }
+                ),
+                # An invalid id: an error envelope, not a crash.
+                json.dumps({"v": 1, "kind": "mutation", "action": "remove", "tree_id": 10**9}),
+                '{"v": 1, "kind": "stats"}',
             ],
         )
         assert responses[0]["ok"] is True
         assert responses[1]["mapping_count"] >= 1
         assert len(responses[1]["mappings"]) <= 1
-        assert "error" in responses[2]
+        assert responses[2]["kind"] == "error"
         assert responses[3]["stats"]["trees_added"] == 1
 
     def test_stats_report_cache_shape_and_executor(self, service):
-        (response,) = _serve(service, ['{"stats": true}'])
+        (response,) = _serve(service, ['{"v": 1, "kind": "stats"}'])
         stats = response["stats"]
         assert stats["executor"] == "serial"
         assert stats["query_cache_capacity"] == 64
@@ -328,6 +410,30 @@ class TestShardCommands:
         assert lines[0] == lines[1]
         assert "1 duplicates" in captured.err
 
+    def test_batch_query_lines_are_v1_match_responses_paged_by_top(
+        self, shard_dir, tmp_path, capsys
+    ):
+        batch_file = tmp_path / "batch.jsonl"
+        batch_file.write_text('{"person": ["name", "email"]}\n{"book": ["title"]}\n')
+        exit_code = main(
+            [
+                "query",
+                "--shards", str(shard_dir / "manifest.json"),
+                "--batch", str(batch_file),
+                "--delta", "0.5",
+                "--top", "1",
+            ]
+        )
+        assert exit_code == 0
+        responses = [
+            MatchResponse.from_wire(json.loads(line))
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert len(responses) == 2
+        assert responses[0].mapping_count > 1
+        for response in responses:
+            assert len(response.mappings) == min(1, response.mapping_count)
+
     def test_batch_query_rejects_negative_top(self, shard_dir, tmp_path, capsys):
         batch_file = tmp_path / "batch.jsonl"
         batch_file.write_text('{"person": ["name"]}\n')
@@ -364,20 +470,36 @@ class TestShardCommands:
         from repro.shard import load_shard_set
 
         service = load_shard_set(shard_dir / "manifest.json")
+        query = {"v": 1, "kind": "match", "schema": {"person": ["name"]}, "options": {"delta": 0.5}}
         responses = _serve(
             service,
             [
-                json.dumps({"batch": [{"person": ["name"]}, {"person": ["name"]}], "delta": 0.5}),
-                json.dumps({"add": {"zqxroot": ["zqxchild"]}, "name": "served-tree"}),
-                json.dumps({"personal": {"zqxroot": ["zqxchild"]}, "top_k": 1}),
-                json.dumps({"remove": 10**9}),
-                json.dumps({"stats": True}),
+                json.dumps({"v": 1, "kind": "batch", "requests": [query, query]}),
+                json.dumps(
+                    {
+                        "v": 1,
+                        "kind": "mutation",
+                        "action": "add",
+                        "schema": {"zqxroot": ["zqxchild"]},
+                        "name": "served-tree",
+                    }
+                ),
+                json.dumps(
+                    {
+                        "v": 1,
+                        "kind": "match",
+                        "schema": {"zqxroot": ["zqxchild"]},
+                        "options": {"top_k": 1},
+                    }
+                ),
+                json.dumps({"v": 1, "kind": "mutation", "action": "remove", "tree_id": 10**9}),
+                '{"v": 1, "kind": "stats"}',
             ],
         )
         assert responses[0]["queries"] == 2
         assert responses[1]["ok"] is True
         assert responses[2]["mapping_count"] >= 1
-        assert "error" in responses[3]
+        assert responses[3]["kind"] == "error"
         stats = responses[4]["stats"]
         assert stats["shards"] == 3
         assert len(stats["per_shard"]) == 3
