@@ -105,7 +105,7 @@ def measure_tail_latency(repository, args, schemas):
         service = make_resilient(repository, args.shards, args.threshold, policy)
         latencies = []
         try:
-            service.match(schemas[0])  # warm pools + element-match tables
+            service.match(schemas[0])  # warm the fan-out pools (no cache: size 0)
             for index in range(args.latency_queries):
                 schema = schemas[index % len(schemas)]
                 started = time.perf_counter()

@@ -15,8 +15,8 @@ over one generated repository:
 
 ``cold/warm/cached query latency``
     First query after start-up, a different schema (shares the warm derived
-    state but misses the query cache), and an exact repeat served from the
-    fingerprint-keyed LRU element-match-table cache.
+    state but misses the query cache), and an exact repeat answered by the
+    fingerprint-keyed LRU of final results.
 
 Correctness gates: the snapshot-loaded service must produce mappings
 *bit-identical* to the cold-built one, and the snapshot load must beat the

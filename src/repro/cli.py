@@ -466,10 +466,9 @@ def _run_query(service, args: argparse.Namespace, deadline_kwargs) -> int:
             response = match_response(service.repository, personal, result, page)
             print(json.dumps(response.to_wire()))
         if hasattr(service, "match_many"):
-            # Both bundled services deduplicate batches by fingerprint now
-            # (the sharded front-end since PR 4, the base service since the
-            # API unification); foreign matchers without match_many get no
-            # summary because their counters mean something else.
+            # Both bundled services answer batches through the batch front
+            # end; foreign matchers without match_many get no summary
+            # because their counters mean something else.
             counters = service.counters
             print(
                 f"batch: {len(schemas)} queries, "
@@ -976,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     split_parser.add_argument("--max-fragment-size", type=int, default=20, help="partition fragment size cap")
     split_parser.add_argument(
         "--cache-size", type=int, default=64, dest="cache_size",
-        help="query-cache capacity recorded in the shard snapshots",
+        help="result-cache capacity of the set's front end (recorded in the shard snapshots)",
     )
     split_parser.add_argument("--out-dir", required=True, dest="out_dir", help="directory for the shard set")
     split_parser.set_defaults(handler=_command_shard_split)

@@ -1,24 +1,29 @@
-"""Personal-schema fingerprints for the service query cache.
+"""Personal-schema fingerprints: the key of the one result cache.
 
-Two personal schemas produce identical element-matching tables whenever every
-input the matcher reads is identical: node names, kinds, datatypes and the
-parent structure (structural matchers walk the tree).  The fingerprint hashes
-exactly those inputs in node-id order, so it is a sound cache key for the
-per-query ``MappingElementSets`` table kept by
-:class:`~repro.service.MatchingService` — schemas that hash alike match alike.
+Two personal schemas get identical answers whenever every input the matcher
+reads is identical: node names, kinds, datatypes and the parent structure
+(structural matchers walk the tree).  The fingerprint hashes exactly those
+inputs in node-id order.  It leads the key ``(fingerprint, effective δ,
+top_k, version)`` under which the batch front end
+(:meth:`~repro.api.matcher.MatcherAPIMixin._answer_batch`) collapses
+duplicates within a batch and caches final
+:class:`~repro.system.results.MatchResult` objects — schemas that hash alike
+match alike.
 
 Deliberately *not* part of the fingerprint:
 
 * the tree's display ``name`` (no matcher reads it);
-* the nodes' free-form ``properties`` dictionaries (no bundled matcher reads
-  them either; a custom matcher that does must disable the query cache by
-  constructing the service with ``query_cache_size=0``).
+* the nodes' free-form ``properties`` dictionaries.  No bundled matcher reads
+  them, but a custom one may, so every backend trusts the fingerprint only
+  for a bundled matcher (:func:`fingerprint_covers`) and answers each query
+  of a custom matcher on its own, whatever its cache capacity.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from repro.matchers.base import ElementMatcher
 from repro.schema.tree import SchemaTree
 
 
@@ -37,3 +42,14 @@ def schema_fingerprint(tree: SchemaTree) -> str:
         )
         hasher.update(repr(record).encode())
     return hasher.hexdigest()
+
+
+def fingerprint_covers(matcher: ElementMatcher) -> bool:
+    """Whether ``matcher`` reads nothing :func:`schema_fingerprint` leaves out.
+
+    True exactly for the bundled matchers a snapshot can describe.
+    """
+    # Imported lazily: the snapshot module imports the service, which imports this one.
+    from repro.service.snapshot import _matcher_config
+
+    return _matcher_config(matcher) is not None

@@ -20,8 +20,8 @@ queries:
   (``tests/service/test_incremental.py`` pins the equivalence);
 * **concurrent queries** — per-cluster mapping generation dispatches through
   a pluggable :class:`~repro.utils.executor.TaskExecutor`, and a bounded LRU
-  cache keyed by a personal-schema fingerprint reuses whole element-matching
-  tables across repeated queries (the heavy-traffic scenario).
+  of final results keyed by a personal-schema fingerprint answers repeated
+  queries without running the pipeline (the heavy-traffic scenario).
 
 Example
 -------
@@ -29,17 +29,16 @@ Example
 >>> from repro.workload import RepositoryGenerator, RepositoryProfile, paper_personal_schema
 >>> repository = RepositoryGenerator(RepositoryProfile(target_node_count=2000)).generate()
 >>> service = MatchingService(repository, element_threshold=0.45)
->>> result = service.match(paper_personal_schema())   # cold: builds + caches
->>> result = service.match(paper_personal_schema())   # warm: cache hit
+>>> result = service.match(paper_personal_schema())   # cold: runs + caches
+>>> result = service.match(paper_personal_schema())   # warm: the stored result
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.api.envelope import PROTOCOL_VERSION
 from repro.api.matcher import MatcherAPIMixin
-from repro.api.validation import validate_query
 from repro.clustering.kmeans import Clusterer
 from repro.clustering.reclustering import ReclusteringStrategy
 from repro.errors import ConfigurationError
@@ -48,19 +47,16 @@ from repro.mapping.base import MappingGenerator
 from repro.matchers.base import BatchElementMatcher, ElementMatcher
 from repro.matchers.index import LRUMemo
 from repro.objective.base import ObjectiveFunction
+from repro.resilience.deadline import Deadline
 from repro.schema.repository import SchemaRepository
 from repro.schema.tree import SchemaTree
-from repro.service.fingerprint import schema_fingerprint
+from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer, RepositoryPartition
 from repro.system.bellflower import Bellflower
 from repro.system.results import MatchResult
 from repro.system.variants import clustering_variant
 from repro.utils.counters import ThreadSafeCounterSet
 from repro.utils.executor import TaskExecutor
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard layer imports service)
-    from repro.mapping.engine import TopKPool
-    from repro.resilience.deadline import Deadline
 
 
 class MatchingService(MatcherAPIMixin):
@@ -90,9 +86,9 @@ class MatchingService(MatcherAPIMixin):
         executor; see :mod:`repro.utils.executor` for the determinism
         contract.
     query_cache_size:
-        Capacity of the per-query element-match-table cache (``0`` disables
-        it; required for custom matchers that read node ``properties``, which
-        the fingerprint does not cover).
+        Capacity of the result cache: final results keyed by (schema
+        fingerprint, effective ``δ``, ``top_k``, repository version).  ``0``
+        means no cache.
     partition_max_fragment_size, partition_reclustering:
         Shape of the default repository partition (ignored when ``clusterer``
         or ``variant`` is given).
@@ -148,7 +144,7 @@ class MatchingService(MatcherAPIMixin):
                 clusterer = spec.make_clusterer()
                 self._variant_name = spec.name
         self.query_cache_size = query_cache_size
-        self._query_cache = LRUMemo(query_cache_size)
+        self._result_cache = LRUMemo(query_cache_size)
         # Thread-safe: the asyncio server runs concurrent queries against one
         # service instance from thread-pool workers.
         self.counters = ThreadSafeCounterSet()
@@ -199,7 +195,7 @@ class MatchingService(MatcherAPIMixin):
 
     @property
     def query_cache_len(self) -> int:
-        return len(self._query_cache)
+        return len(self._result_cache)
 
     # -- warm-up -------------------------------------------------------------
 
@@ -225,137 +221,57 @@ class MatchingService(MatcherAPIMixin):
         personal_schema: SchemaTree,
         delta: Optional[float] = None,
         top_k: Optional[int] = None,
-        shared_pool: Optional["TopKPool"] = None,
-        deadline: Optional["Deadline"] = None,
-        *,
-        fingerprint: Optional[str] = None,
+        deadline: Optional[Deadline] = None,
     ) -> MatchResult:
-        """Match one personal schema, reusing cached element-match tables.
+        """Match one personal schema: a batch of one through :meth:`_match_many_schemas`.
 
         This is the legacy entry point behind the public :meth:`match
         <repro.api.matcher.MatcherAPIMixin.match>` shim — ``match(tree,
         delta=..., top_k=...)`` lands here unchanged, ``match(MatchRequest)``
-        lands here via the typed dispatch, so both paths are bit-identical.
-
-        ``top_k`` restricts the query to the ``k`` best mappings and enables
-        cross-cluster bound sharing in the generator (see
-        :meth:`Bellflower.match <repro.system.bellflower.Bellflower.match>`);
-        ``None`` keeps the complete ``Δ >= δ`` semantics.  ``shared_pool``
-        extends the sharing across sibling services answering the same
-        logical query (the shard fan-out — see :mod:`repro.shard`); it never
-        changes this service's own results, only how much of its search gets
-        pruned.
-
-        The cache key combines the
-        :func:`~repro.service.fingerprint.schema_fingerprint` of the personal
-        schema with the query's *effective* ``δ`` and the repository's
-        mutation :attr:`~repro.schema.repository.SchemaRepository.version`.
-        The cached value (the element-match table) does not itself depend on
-        ``δ``, but keying on the effective threshold guarantees a
-        ``match(tree, delta=...)`` override can never observe an entry cached
-        under different query semantics, and the version guard makes stale
-        hits impossible even when the repository is mutated *directly*
-        (bypassing :meth:`add_tree`/:meth:`remove_tree`, which also clear the
-        cache eagerly).  A hit can therefore only ever return the table a
-        fresh run would recompute — cached and uncached queries produce
-        bit-identical mappings (only stage timers and cache counters differ).
-        ``top_k`` is deliberately not part of the key: the element-match
-        table is computed before mapping generation and is identical for
-        every ``k``.  ``fingerprint`` lets the batch path pass the schema's
-        already-computed fingerprint so it is hashed once per unique schema.
+        reaches the same batch path via the typed dispatch, so both paths are
+        bit-identical.  ``top_k`` restricts the query to the ``k`` best
+        mappings (see :meth:`Bellflower.match
+        <repro.system.bellflower.Bellflower.match>`); ``None`` keeps the
+        complete ``Δ >= δ`` semantics.
         """
-        # Validate before the cache key is computed: an invalid request must
-        # be rejected at the boundary, not after touching service state (the
-        # pre-unification behaviour let the key build first and the error
-        # fire deep inside mapping generation).
-        validate_query(delta, top_k)
-        effective_delta = self.delta if delta is None else delta
-        cached = None
-        key = None
-        if self.query_cache_size:
-            key = (
-                fingerprint or schema_fingerprint(personal_schema),
-                effective_delta,
-                self.repository.version,
-            )
-            cached = self._query_cache.get(key)
-        result = self._system.match(
-            personal_schema,
-            delta=delta,
-            candidates=cached,
-            top_k=top_k,
-            shared_pool=shared_pool,
-            deadline=deadline,
-        )
-        if key is not None:
-            if cached is not None:
-                self.counters.increment("query_cache_hits")
-            else:
-                self.counters.increment("query_cache_misses")
-                # Caching the *candidates* (element-match tables) of a partial
-                # result is sound: element matching completed before the
-                # generation stage was cut short, so the table is the same one
-                # a deadline-free run would compute.
-                self._query_cache.put(key, result.candidates)
-        self.counters.increment("queries")
-        if result.partial:
-            self.counters.increment("partials_returned")
-        return result
+        return self._match_many_schemas(
+            [personal_schema], delta=delta, top_k=top_k, deadline=deadline
+        )[0]
 
     def _match_many_schemas(
         self,
         personal_schemas: Sequence[SchemaTree],
         delta: Optional[float] = None,
         top_k: Optional[int] = None,
-        deadline: Optional["Deadline"] = None,
+        deadline: Optional[Deadline] = None,
     ) -> List[MatchResult]:
         """Answer a batch of queries; result ``i`` belongs to schema ``i``.
 
-        The fingerprint dedup + batching front-end PR 4 built for the shard
-        layer, promoted down to the base service so batching pays off
-        unsharded too: structurally identical schemas (same
-        :func:`~repro.service.fingerprint.schema_fingerprint`, same effective
-        ``δ``/``top_k``, same repository version) collapse to one search and
-        share the result object.  Duplicates are the *whole* win here — the
-        per-query candidate cache only reuses element-match tables, the
-        mapping search re-runs every time — which is why the API benchmark
-        gates this path at >= 2x on duplicate-heavy workloads.
-
-        The dedup trusts the fingerprint the same way the candidate cache
-        does, so it honours the same escape hatch: a service constructed
-        with ``query_cache_size=0`` (required for custom matchers that read
-        node ``properties``, which the fingerprint does not cover) answers
-        every batch entry independently.
+        Through the batch front end
+        (:meth:`~repro.api.matcher.MatcherAPIMixin._answer_batch`): equal
+        keys share one result object, the result cache answers what it
+        holds, and every other query runs the pipeline.  A hit returns the
+        stored object, so cached and uncached answers are bit-identical
+        (only stage timers and counters differ).  The version in the key
+        makes a stale hit impossible even when the repository is mutated
+        directly, bypassing :meth:`add_tree`/:meth:`remove_tree` (which
+        also clear the cache).
         """
-        validate_query(delta, top_k)
-        if not personal_schemas:
-            return []
-        if not self.query_cache_size:
-            return [
-                self._match_schema(schema, delta=delta, top_k=top_k, deadline=deadline)
-                for schema in personal_schemas
-            ]
-        effective_delta = self.delta if delta is None else delta
-        results: List[Optional[MatchResult]] = [None] * len(personal_schemas)
-        resolved: Dict[tuple, MatchResult] = {}
-        duplicates = 0
-        for index, schema in enumerate(personal_schemas):
-            fingerprint = schema_fingerprint(schema)
-            key = (fingerprint, effective_delta, top_k, self.repository.version)
-            result = resolved.get(key)
-            if result is None:
-                result = self._match_schema(
-                    schema, delta=delta, top_k=top_k, deadline=deadline, fingerprint=fingerprint
-                )
-                resolved[key] = result
-            else:
-                duplicates += 1
-            results[index] = result
-        # _match_schema counted each unique query; account for the collapsed
-        # duplicates so the batch counters mirror the sharded front-end's.
-        self.counters.increment("queries", duplicates)
-        self.counters.increment("duplicate_queries", duplicates)
-        return results  # type: ignore[return-value]
+        return self._answer_batch(
+            personal_schemas,
+            delta,
+            top_k,
+            lambda misses: [
+                self._system.match(schema, delta=delta, top_k=top_k, deadline=deadline)
+                for schema in misses
+            ],
+        )
+
+    def _result_key(self, personal_schema, effective_delta, top_k) -> Optional[tuple]:
+        if not fingerprint_covers(self.matcher):
+            return None
+        fingerprint = schema_fingerprint(personal_schema)
+        return (fingerprint, effective_delta, top_k, self.repository.version)
 
     # -- incremental updates --------------------------------------------------
 
@@ -378,7 +294,7 @@ class MatchingService(MatcherAPIMixin):
             repository.install_name_index(index.with_tree_added(repository, tree_id))
         if self.partition is not None:
             self.partition.on_tree_added(repository, tree_id, self.oracle)
-        self._query_cache.clear()
+        self._result_cache.clear()
         self.counters.increment("trees_added")
         return tree_id
 
@@ -405,7 +321,7 @@ class MatchingService(MatcherAPIMixin):
         self.oracle.on_tree_removed(tree_id)
         if self.partition is not None:
             self.partition.on_tree_removed(tree_id)
-        self._query_cache.clear()
+        self._result_cache.clear()
         self.counters.increment("trees_removed")
         return removed
 
@@ -428,7 +344,7 @@ class MatchingService(MatcherAPIMixin):
         summary["executor"] = "serial" if executor is None else executor.name
         summary["built_oracles"] = self.oracle.built_oracle_count
         summary["query_cache_capacity"] = self.query_cache_size
-        summary["query_cache_entries"] = len(self._query_cache)
+        summary["query_cache_entries"] = len(self._result_cache)
         if self.partition is not None:
             summary["partitioned_trees"] = self.partition.built_tree_count
         summary.update(self.counters.as_dict())
@@ -444,7 +360,6 @@ class MatchingService(MatcherAPIMixin):
         return {
             "variant": self._variant_name or self._system.clusterer.name,
             "query_cache_capacity": self.query_cache_size,
-            "query_cache_kind": "element-match tables",
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

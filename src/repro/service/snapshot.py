@@ -294,6 +294,7 @@ def snapshot_to_service(
     Keyword overrides replace the corresponding snapshot configuration; they
     are *required* where the snapshot records that a non-serializable object
     was in play (custom matcher or clusterer, partition reclustering).
+    ``query_cache_size`` replaces the recorded result-cache capacity.
     """
     if payload.get("format") != SNAPSHOT_FORMAT:
         raise ReproError(f"not a service snapshot (format={payload.get('format')!r})")

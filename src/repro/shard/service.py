@@ -54,12 +54,15 @@ per-cluster case; results stay identical, only pruning weakens.
 Batched front-end
 -----------------
 
-:meth:`ShardedMatchingService.match_many` answers a batch of queries:
-identical schemas (same fingerprint, same effective ``δ``/``top_k``) are
-deduplicated, the bounded front-end result cache is consulted, and only the
-remaining misses are dispatched — every (miss, shard) pair becomes one
-executor task, so a batch saturates the executor even when each individual
-query is small.
+:meth:`ShardedMatchingService.match_many` answers a batch through the batch
+front end every backend shares
+(:meth:`~repro.api.matcher.MatcherAPIMixin._answer_batch`): identical
+schemas (same fingerprint, same effective ``δ``/``top_k``) are deduplicated,
+the set's result cache answers what it holds, and only the remaining misses
+are dispatched — every (miss, shard) pair becomes one executor task, so a
+batch saturates the executor even when each individual query is small.  The
+set caches for its shards: a shard inside a set runs its pipeline directly
+and never reads or writes a cache of its own.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.envelope import PROTOCOL_VERSION
 from repro.api.matcher import MatcherAPIMixin
-from repro.api.validation import validate_query
 from repro.clustering.cluster import Cluster, ClusterSet
 from repro.clustering.kmeans import ClusteringResult
 from repro.errors import ConfigurationError, ShardError, UnknownTreeError
@@ -84,7 +86,7 @@ from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.serialization import tree_from_dict, tree_to_dict
 from repro.resilience.fanout import ResiliencePolicy, ResilientFanout
 from repro.schema.tree import SchemaTree
-from repro.service.fingerprint import schema_fingerprint
+from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer
 from repro.service.service import MatchingService
 from repro.shard.router import ShardRouter, SizeBalancedRouter, check_shard_count
@@ -162,10 +164,16 @@ class _ShardSignatureTranslator:
 
 
 def _run_shard_query(task) -> MatchResult:
-    """Worker body of the shard fan-out (module-level so process pools can pickle it)."""
+    """Worker body of the shard fan-out (module-level so process pools can pickle it).
+
+    Runs the shard's pipeline directly: the set's front end caches for its
+    shards, and a result pruned against a pool shared with sibling shards is
+    not the shard's own answer anyway.
+    """
     shard, personal_schema, delta, top_k, pool, deadline = task
-    extra = {} if deadline is None else {"deadline": deadline}
-    return shard.match(personal_schema, delta=delta, top_k=top_k, shared_pool=pool, **extra)
+    return shard.system.match(
+        personal_schema, delta=delta, top_k=top_k, shared_pool=pool, deadline=deadline
+    )
 
 
 class ShardedRepositoryView:
@@ -240,12 +248,11 @@ class ShardedMatchingService(MatcherAPIMixin):
         queries fan out through (``None`` runs shards serially inline).
         Results are identical for every executor.
     query_cache_size:
-        Capacity of the front-end merged-result LRU cache (``0`` disables
-        it).  Unlike the per-shard candidate caches, entries here are whole
-        merged rankings, keyed by (schema fingerprint, effective ``δ``,
-        ``top_k``, shard-set version) — a hit returns the previously merged
+        Capacity of the set's result cache: merged results keyed by (schema
+        fingerprint, effective ``δ``, ``top_k``, shard-set version).  ``0``
+        means no cache.  A hit returns the previously merged
         :class:`~repro.system.results.MatchResult` object without touching
-        any shard.
+        any shard; the shards' own caches are never used.
     global_version:
         The shard-set version (manifest loads pass the manifest's value).
         Bumped by every live mutation.
@@ -541,59 +548,40 @@ class ShardedMatchingService(MatcherAPIMixin):
     ) -> List[MatchResult]:
         """Answer a batch of queries; result ``i`` belongs to schema ``i``.
 
-        Structurally identical schemas collapse to one computation (the
-        fingerprint dedup), cached rankings are served without touching any
-        shard, and the remaining misses fan out as one task per (query,
-        shard) pair through the executor.  A cache hit returns the previously
-        merged result *object*; duplicates within one batch share their
-        result object likewise.
-
-        Both the cache and the in-batch dedup trust the schema fingerprint,
-        so ``query_cache_size=0`` disables both — the escape hatch for
-        custom matchers that read node ``properties``, which the fingerprint
-        does not cover.
+        Through the batch front end
+        (:meth:`~repro.api.matcher.MatcherAPIMixin._answer_batch`): equal
+        keys share one result object, cached merged results are served
+        without touching any shard, and the remaining misses fan out as one
+        task per (query, shard) pair (:meth:`_fan_out`).
         """
-        validate_query(delta, top_k)
-        if not personal_schemas:
-            return []
-        effective_delta = self.delta if delta is None else delta
+        return self._answer_batch(
+            personal_schemas,
+            delta,
+            top_k,
+            lambda misses: self._fan_out(misses, delta, top_k, deadline),
+        )
+
+    def _result_key(self, personal_schema, effective_delta, top_k) -> Optional[tuple]:
+        if not fingerprint_covers(self.shards[0].matcher):
+            return None
+        fingerprint = schema_fingerprint(personal_schema)
         version = (self.global_version, self.repository.version)
-        dedup = bool(self.query_cache_size)
+        return (fingerprint, effective_delta, top_k, version)
 
-        # Deduplicate by fingerprint (+ everything the merged result depends on).
-        positions: Dict[Tuple, List[int]] = {}
-        unique: List[Tuple[Tuple, SchemaTree]] = []
-        for index, schema in enumerate(personal_schemas):
-            if dedup:
-                key = (schema_fingerprint(schema), effective_delta, top_k, version)
-            else:
-                key = ("batch-entry", index)
-            slots = positions.get(key)
-            if slots is None:
-                positions[key] = [index]
-                unique.append((key, schema))
-            else:
-                slots.append(index)
-        self.counters.increment("queries", len(personal_schemas))
-        self.counters.increment("duplicate_queries", len(personal_schemas) - len(unique))
+    def _fan_out(
+        self,
+        personal_schemas: Sequence[SchemaTree],
+        delta: Optional[float],
+        top_k: Optional[int],
+        deadline: Optional["Deadline"],
+    ) -> List[MatchResult]:
+        """One merged result per schema, from one task per (schema, shard) pair.
 
-        # Serve what the front-end cache already holds.
-        resolved: Dict[Tuple, MatchResult] = {}
-        misses: List[Tuple[Tuple, SchemaTree]] = []
-        for key, schema in unique:
-            cached = self._result_cache.get(key) if self.query_cache_size else None
-            if cached is not None:
-                self.counters.increment("query_cache_hits")
-                resolved[key] = cached
-            else:
-                if self.query_cache_size:
-                    self.counters.increment("query_cache_misses")
-                misses.append((key, schema))
-
-        # Fan the misses out: one task per (query, shard), one shared
-        # (translated) incumbent pool per query in top-k mode.
+        In top-k mode the tasks of one schema share one (translated)
+        incumbent pool.
+        """
         tasks = []
-        for key, schema in misses:
+        for schema in personal_schemas:
             pool = TopKPool(top_k) if top_k is not None else None
             for shard_id, shard in enumerate(self.shards):
                 view = (
@@ -617,8 +605,8 @@ class ShardedMatchingService(MatcherAPIMixin):
                 raw = self.executor.map(_run_shard_query, tasks)
             else:
                 raw = [_run_shard_query(task) for task in tasks]
-        for miss_index, (key, schema) in enumerate(misses):
-            start = miss_index * self.shard_count
+        merged_results = []
+        for start in range(0, len(tasks), self.shard_count):
             if outcomes is None:
                 pairs = list(enumerate(raw[start : start + self.shard_count]))
                 skipped: Tuple[int, ...] = ()
@@ -636,19 +624,8 @@ class ShardedMatchingService(MatcherAPIMixin):
             if merged.degraded:
                 self.counters.increment("degraded_queries")
                 self.counters.increment("shards_skipped", len(skipped))
-            if merged.partial:
-                self.counters.increment("partials_returned")
-            # A partial (deadline-truncated) or degraded (missing-shard) merge
-            # is not the canonical answer for its cache key — never cache it.
-            if self.query_cache_size and not (merged.partial or merged.degraded):
-                self._result_cache.put(key, merged)
-            resolved[key] = merged
-
-        results: List[Optional[MatchResult]] = [None] * len(personal_schemas)
-        for key, slots in positions.items():
-            for slot in slots:
-                results[slot] = resolved[key]
-        return results  # type: ignore[return-value]
+            merged_results.append(merged)
+        return merged_results
 
     # -- merge ---------------------------------------------------------------
 
@@ -938,7 +915,6 @@ class ShardedMatchingService(MatcherAPIMixin):
             "shards": self.shard_count,
             "router": self.router.name,
             "query_cache_capacity": self.query_cache_size,
-            "query_cache_kind": "merged results",
             "resilience": None if self.resilience is None else self.resilience.describe(),
             "per_shard": [
                 {

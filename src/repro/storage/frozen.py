@@ -765,7 +765,8 @@ def load_frozen_service(
     distance oracle and partition are all frozen views.  The keyword overrides
     mirror :func:`repro.service.snapshot.load_snapshot` exactly — which also
     dispatches here when handed a frozen file, so callers never need to know
-    which carrier a snapshot uses.
+    which carrier a snapshot uses (``query_cache_size`` replaces the recorded
+    result-cache capacity).
 
     Each call builds a fresh object graph over the (shared, read-only) mapped
     segments, so two loaded services never observe each other's thaws.

@@ -300,47 +300,15 @@ class Bellflower(MatcherAPIMixin):
             partial=partial,
         )
 
-    def _match_many_schemas(
-        self,
-        personal_schemas: List[SchemaTree],
-        delta: Optional[float] = None,
-        top_k: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> List[MatchResult]:
-        """Answer a batch of queries; result ``i`` belongs to schema ``i``.
+    def _result_key(self, personal_schema, effective_delta, top_k) -> Optional[tuple]:
+        """Deduplicates a batch (the inherited front end; the pipeline keeps no cache)."""
+        # Imported lazily: the service package imports this module at load time.
+        from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 
-        The pipeline is stateless across queries, so batching here means
-        in-batch deduplication only: structurally identical schemas (same
-        :func:`~repro.service.fingerprint.schema_fingerprint`) collapse to
-        one pipeline run and share the result object.  The service layers
-        add cross-batch caching on top of this.
-
-        The fingerprint covers exactly what the *bundled* matchers read; a
-        custom matcher may read node ``properties`` too, so dedup is only
-        applied when the configured matcher is a recognized bundled one —
-        custom matchers get one independent run per schema.
-        """
-        validate_query(delta, top_k)
-        # Imported lazily: the service package imports this module at load
-        # time, so a module-level import would be circular.
-        from repro.service.fingerprint import schema_fingerprint
-        from repro.service.snapshot import _matcher_config
-
-        if _matcher_config(self.matcher) is None:
-            return [
-                self._match_schema(schema, delta=delta, top_k=top_k, deadline=deadline)
-                for schema in personal_schemas
-            ]
-        results: List[Optional[MatchResult]] = [None] * len(personal_schemas)
-        computed: Dict[str, MatchResult] = {}
-        for index, schema in enumerate(personal_schemas):
-            fingerprint = schema_fingerprint(schema)
-            result = computed.get(fingerprint)
-            if result is None:
-                result = self._match_schema(schema, delta=delta, top_k=top_k, deadline=deadline)
-                computed[fingerprint] = result
-            results[index] = result
-        return results  # type: ignore[return-value]
+        if not fingerprint_covers(self.matcher):
+            return None
+        fingerprint = schema_fingerprint(personal_schema)
+        return (fingerprint, effective_delta, top_k, self.repository.version)
 
     # -- reporting ------------------------------------------------------------
 

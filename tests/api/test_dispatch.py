@@ -239,11 +239,11 @@ class TestDeadlinesAndResultFlags:
         class FlaggedService(MatchingService):
             """Stands in for a backend that truncated and degraded the answer."""
 
-            def _match_schema(self, *args, **kwargs):
-                result = super()._match_schema(*args, **kwargs)
-                return dataclasses.replace(
-                    result, partial=True, degraded=True, skipped_shards=(1,)
-                )
+            def _match_many_schemas(self, *args, **kwargs):
+                return [
+                    dataclasses.replace(result, partial=True, degraded=True, skipped_shards=(1,))
+                    for result in super()._match_many_schemas(*args, **kwargs)
+                ]
 
         flagged = RequestDispatcher(
             FlaggedService(small_repository_factory(), element_threshold=0.5, delta=0.6)

@@ -61,8 +61,9 @@ class TestBitIdentity:
         assert response.mappings == expected
         assert response.mapping_count == len(legacy.mappings)
         # Search-stage counters are identical; element-matching counters may
-        # legitimately differ on the service backends (the typed run hits the
-        # candidate cache the legacy run warmed — documented cache semantics).
+        # legitimately differ on the pipeline backend (the typed run hits the
+        # name-score memo the legacy run warmed; the services answer it from
+        # their result cache).
         assert response.counters["mapping_elements"] == legacy.counters.get("mapping_elements")
 
     def test_nested_wire_schema_matches_in_memory_schema(self, backend):
@@ -174,17 +175,18 @@ class TestMatchManyPromotion:
     def test_empty_batch_returns_empty(self, backend):
         assert backend.match_many([]) == []
 
-    def test_cache_size_zero_disables_dedup_on_the_service(self):
-        # The documented escape hatch for custom property-reading matchers:
-        # query_cache_size=0 must disable fingerprint trust everywhere,
-        # including the whole-result batch dedup.
+    def test_cache_size_zero_keeps_dedup_on_the_service(self):
+        # query_cache_size is capacity only: a service without a cache still
+        # trusts the fingerprint of a bundled matcher inside one batch.
         service = MatchingService(
             small_repository_factory(), element_threshold=0.5, delta=0.6, query_cache_size=0
         )
         results = service.match_many([paper_personal_schema(), paper_personal_schema()])
-        assert results[0] is not results[1]
-        assert results[0].ranking_key() == results[1].ranking_key()
-        assert service.counters.get("duplicate_queries") == 0
+        assert results[0] is results[1]
+        assert service.counters.get("duplicate_queries") == 1
+        assert service.query_cache_len == 0
+        assert service.counters.get("query_cache_hits") == 0
+        assert service.counters.get("query_cache_misses") == 0
 
     def test_custom_matcher_disables_dedup_on_the_pipeline(self):
         from repro.matchers.name import FuzzyNameMatcher

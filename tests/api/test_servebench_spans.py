@@ -4,17 +4,21 @@
 (by module attribute), so a refactor that moves or renames one of them
 silently drops that layer from the benchmark's per-layer report.  This test
 loads the module by path, instruments a dispatcher over a small service and
-checks that one v1 match line leaves a span in every in-process layer.
+over a two-shard set, and checks that one v1 match line leaves a span in
+every in-process layer.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from _backends import small_repository_factory
 from repro.api.dispatch import RequestDispatcher
 from repro.api.envelope import MatchRequest
 from repro.service import MatchingService
+from repro.shard import ShardedMatchingService
 
 SPANS_PATH = Path(__file__).resolve().parents[2] / "servebench" / "spans.py"
 
@@ -29,14 +33,24 @@ def load_spans_module():
     return module
 
 
-def test_one_served_match_leaves_a_span_in_every_layer():
+def build_service():
+    return MatchingService(small_repository_factory(), element_threshold=0.5, delta=0.6)
+
+
+def build_shard_set():
+    return ShardedMatchingService.from_repository(
+        small_repository_factory(), 2, element_threshold=0.5, delta=0.6
+    )
+
+
+@pytest.mark.parametrize("build", [build_service, build_shard_set], ids=["service", "shards"])
+def test_one_served_match_leaves_a_span_in_every_layer(build):
     spans = load_spans_module()
     originals = [
         (owner, attribute, owner.__dict__[attribute])
         for owner, attribute, _layer, _counts in spans.LAYER_ENTRY_POINTS
     ]
-    service = MatchingService(small_repository_factory(), element_threshold=0.5, delta=0.6)
-    dispatcher = RequestDispatcher(service)
+    dispatcher = RequestDispatcher(build())
     line = json.dumps(MatchRequest(schema={"person": ["name", "email"]}).to_wire())
     recorder = spans.SpanRecorder()
     restore = spans.instrument(recorder)

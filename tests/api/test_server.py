@@ -163,10 +163,10 @@ class TestLifecycle:
         started = threading.Event()
 
         class SlowService(MatchingService):
-            def _match_schema(self, *args, **kwargs):
+            def _match_many_schemas(self, *args, **kwargs):
                 started.set()
                 time.sleep(0.3)  # keep the request in flight while stop() runs
-                return super()._match_schema(*args, **kwargs)
+                return super()._match_many_schemas(*args, **kwargs)
 
         async def main():
             service = SlowService(small_repository_factory(), element_threshold=0.5, delta=0.6)

@@ -31,7 +31,8 @@ def chaos_repository():
 
 @pytest.fixture(scope="package")
 def chaos_reference(chaos_repository):
-    return MatchingService(chaos_repository, element_threshold=THRESHOLD)
+    # Cache-free, so every query runs the pipeline and a deadline can cut it.
+    return MatchingService(chaos_repository, element_threshold=THRESHOLD, query_cache_size=0)
 
 
 @pytest.fixture(scope="package")

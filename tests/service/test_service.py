@@ -1,4 +1,4 @@
-"""MatchingService behaviour: query cache, executors, partition clusterer."""
+"""MatchingService behaviour: result cache, executors, partition clusterer."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from repro.clustering.baselines import FragmentClusterer
 from repro.errors import ConfigurationError
 from repro.matchers.selection import MappingElementSelector
 from repro.matchers.name import FuzzyNameMatcher
+from repro.resilience.deadline import Deadline
 from repro.schema.builder import TreeBuilder
+from repro.schema.repository import SchemaRepository
 from repro.service import (
     MatchingService,
     PartitionClusterer,
@@ -19,13 +21,20 @@ from repro.utils.executor import SerialExecutor, ThreadPoolTaskExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
-from _equivalence import result_key
+from _equivalence import counters_key, path_records_key, result_key
 
 
 @pytest.fixture(scope="module")
 def service_repository():
     profile = RepositoryProfile(
         target_node_count=600, min_tree_size=12, max_tree_size=60, seed=17, name="svc"
+    )
+    return RepositoryGenerator(profile).generate()
+
+
+def _repository(seed, name):
+    profile = RepositoryProfile(
+        target_node_count=300, min_tree_size=12, max_tree_size=60, seed=seed, name=name
     )
     return RepositoryGenerator(profile).generate()
 
@@ -38,9 +47,8 @@ class TestQueryCache:
         assert service.counters.get("query_cache_misses") == 1
         assert service.counters.get("query_cache_hits") == 1
         assert result_key(cold) == result_key(warm)
-        # The cached table is reused as-is, not recomputed.
-        assert warm.candidates is cold.candidates
-        assert warm.element_matching_seconds == 0.0
+        # A hit answers with the stored result object: no stage runs again.
+        assert warm is cold
 
     def test_structurally_identical_schemas_share_an_entry(self, service_repository):
         service = MatchingService(service_repository, element_threshold=0.5)
@@ -72,6 +80,57 @@ class TestQueryCache:
         assert service.counters.get("query_cache_misses") == 0
         assert service.counters.get("queries") == 2
         assert result_key(first) == result_key(second)
+
+    def test_a_deadline_partial_result_is_not_cached(self, service_repository):
+        service = MatchingService(service_repository, element_threshold=0.5)
+        schema = paper_personal_schema()
+        expired = Deadline(0.0, lambda: 1.0)
+        partial = service.match(schema, deadline=expired)
+        assert partial.partial
+        assert service.query_cache_len == 0  # a truncated answer is not canonical
+        assert service.counters.get("partials_returned") == 1
+        complete = service.match(schema)
+        assert not complete.partial and complete is not partial
+        assert service.query_cache_len == 1
+        assert service.counters.get("query_cache_misses") == 2
+        fresh = MatchingService(service_repository, element_threshold=0.5, query_cache_size=0)
+        assert result_key(complete) == result_key(fresh.match(schema))
+
+    def test_a_custom_matcher_tells_schemas_apart_by_what_it_reads(self):
+        """Schemas equal in everything the fingerprint hashes still get their own answers."""
+
+        class PropertyMatcher(FuzzyNameMatcher):
+            """Matches only nodes whose ``lang`` property agrees."""
+
+            supports_batch = False
+
+            def similarity(self, personal_node, repository_node, context=None):
+                if personal_node.properties.get("lang") != repository_node.properties.get("lang"):
+                    return 0.0
+                return super().similarity(personal_node, repository_node, context)
+
+        def tree(name, lang):
+            builder = TreeBuilder(name)
+            root = builder.root("book", lang=lang)
+            builder.child(root, "title", lang=lang)
+            builder.child(root, "author", lang=lang)
+            return builder.build()
+
+        repository = SchemaRepository(name="langs")
+        repository.add_tree(tree("english", "en"))
+        repository.add_tree(tree("german", "de"))
+        service = MatchingService(
+            repository, matcher=PropertyMatcher(), variant="tree", element_threshold=0.5
+        )
+        english, german = tree("query-en", "en"), tree("query-de", "de")
+        assert schema_fingerprint(english) == schema_fingerprint(german)
+        batch = service.match_many([english, german])
+        singles = [service.match(english), service.match(german)]
+        for results in (batch, singles):
+            assert [mapping.tree_id for mapping in results[0].mappings] == [0]
+            assert [mapping.tree_id for mapping in results[1].mappings] == [1]
+        assert service.query_cache_len == 0
+        assert service.counters.get("duplicate_queries") == 0
 
 
 class TestFingerprint:
@@ -112,7 +171,35 @@ class TestFingerprint:
 
 
 class TestQueryCacheKeying:
-    """The cache key must cover the effective δ override and the repository version."""
+    """Each of fingerprint, effective δ, top_k and repository version keys its own entry."""
+
+    @pytest.mark.parametrize("component", ["fingerprint", "delta", "top_k", "version"])
+    def test_each_key_component_keys_its_own_entry(self, component):
+        repository = _repository(53, f"svc-key-{component}")
+        service = MatchingService(repository, element_threshold=0.5)
+        first = service.match(paper_personal_schema())
+
+        def other():
+            if component == "fingerprint":
+                return service.match(contact_personal_schema())
+            if component == "delta":
+                return service.match(paper_personal_schema(), delta=0.3)
+            if component == "top_k":
+                return service.match(paper_personal_schema(), top_k=1)
+            return service.match(paper_personal_schema())
+
+        if component == "version":
+            # Bypass add_tree, so only the version in the key tells them apart.
+            addition = TreeBuilder("extra")
+            addition.child(addition.root("person"), "name")
+            repository.add_tree(addition.build())
+        second = other()
+        assert second is not first
+        assert service.counters.get("query_cache_misses") == 2
+        assert service.counters.get("query_cache_hits") == 0
+        assert service.query_cache_len == 2
+        assert other() is second
+        assert service.counters.get("query_cache_hits") == 1
 
     def test_delta_override_is_a_distinct_cache_entry(self, service_repository):
         service = MatchingService(service_repository, element_threshold=0.5)
@@ -189,12 +276,16 @@ class TestTopKQueries:
         assert result_key(top) == result_key(complete)[:3]
         assert len(top.mappings) <= 3
 
-    def test_top_k_reuses_the_cached_element_table(self, service_repository):
+    def test_top_k_answers_are_cached_apart_from_the_complete_ranking(self, service_repository):
         service = MatchingService(service_repository, element_threshold=0.5)
         schema = paper_personal_schema()
-        service.match(schema)
-        service.match(schema, top_k=1)  # same fingerprint/δ/version: cache hit
-        assert service.counters.get("query_cache_hits") == 1
+        complete = service.match(schema)
+        top = service.match(schema, top_k=1)  # a ranking per top_k: a miss
+        assert service.counters.get("query_cache_hits") == 0
+        assert service.match(schema, top_k=1) is top
+        assert service.match(schema) is complete
+        assert service.counters.get("query_cache_hits") == 2
+        assert result_key(top) == result_key(complete)[:1]
 
 
 class TestExecutors:
@@ -283,3 +374,75 @@ class TestConfiguration:
         assert stats["variant"] == "partition"
         assert stats["queries"] == 1
         assert stats["trees"] == service_repository.tree_count
+
+
+class TestResultCacheDifferential:
+    """Cached backends answer a mixed stream exactly like cache-free twins."""
+
+    def test_mixed_stream_matches_cache_free_twins(self):
+        from repro.shard import ShardedMatchingService
+
+        def matcher():
+            # No name-score memo, so a result's counters depend on its query alone.
+            return FuzzyNameMatcher(memo_size=0)
+
+        def service(size):
+            repository = _repository(67, "svc-diff")
+            return MatchingService(
+                repository, matcher=matcher(), element_threshold=0.5, query_cache_size=size
+            )
+
+        def shard_set(size):
+            return ShardedMatchingService.from_repository(
+                _repository(67, "svc-diff"),
+                2,
+                matcher=matcher(),
+                element_threshold=0.5,
+                query_cache_size=size,
+            )
+
+        pairs = [(service(64), service(0)), (shard_set(64), shard_set(0))]
+        paper, contact = paper_personal_schema(), contact_personal_schema()
+        book = TreeBuilder.from_nested({"book": ["title", "author"]}, name="book")
+        stream = [
+            ("match", paper, {}),
+            ("match", paper, {}),
+            ("match", contact, {"top_k": 2}),
+            ("match", paper, {"delta": 0.3}),
+            ("match", contact, {"top_k": 2}),
+            ("add", None, {}),
+            ("match", paper, {}),
+            ("many", [paper, book, paper, contact], {"top_k": 3}),
+            ("remove", 1, {}),
+            ("many", [book, book, paper], {"delta": 0.3}),
+            ("match", book, {}),
+            ("match", paper, {"delta": 0.3}),
+        ]
+
+        def step(backend, action, argument, options):
+            if action == "add":
+                backend.add_tree(TreeBuilder.from_nested({"book": ["title", "isbn"]}, name="new"))
+                return []
+            if action == "remove":
+                backend.remove_tree(argument)
+                return []
+            if action == "match":
+                return [backend.match(argument, **options)]
+            return backend.match_many(argument, **options)
+
+        def keys(results, counters=True):
+            return [
+                (result_key(r), path_records_key(r)) + ((counters_key(r),) if counters else ())
+                for r in results
+            ]
+
+        for action, argument, options in stream:
+            answers = []
+            for cached, fresh in pairs:
+                got = step(cached, action, argument, options)
+                assert keys(got) == keys(step(fresh, action, argument, options))
+                answers.append(keys(got, counters=False))
+            assert answers[0] == answers[1]  # the set answers like the unsharded service
+        for cached, _fresh in pairs:
+            assert cached.counters.get("query_cache_hits") > 0
+

@@ -73,6 +73,22 @@ class TestRoundTrip:
         assert service.query_cache_size == 0
         assert all(shard.query_cache_size == 0 for shard in service.shards)
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["json", "frozen"])
+    def test_loaded_set_keeps_the_front_end_capacity_it_was_split_with(
+        self, tmp_path, shard_repository, frozen
+    ):
+        service = ShardedMatchingService.from_repository(
+            shard_repository, 2, element_threshold=THRESHOLD, query_cache_size=5
+        )
+        write_shard_set(service, tmp_path, frozen=frozen)
+        loaded = load_shard_set(tmp_path / "manifest.json")
+        assert loaded.query_cache_size == 5
+        assert loaded.stats()["query_cache_capacity"] == 5
+        first = loaded.match(paper_personal_schema())
+        assert loaded.match(paper_personal_schema()) is first
+        assert loaded.query_cache_len == 1
+        assert all(shard.query_cache_len == 0 for shard in loaded.shards)
+
     def test_manifest_document_shape(self, shard_set, shard_repository):
         manifest = load_manifest(shard_set)
         assert manifest["format"] == MANIFEST_FORMAT

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.schema.builder import TreeBuilder
 from repro.service import MatchingService
 from repro.shard import ShardedMatchingService, merged_repository
 from repro.workload.personal import (
@@ -106,6 +107,20 @@ class TestFrontEndCache:
         result = service.match(schema)
         assert service.counters.get("query_cache_hits") == 0
         assert result.ranking_key() == rebuilt_reference.match(schema).ranking_key()
+
+
+class TestShardsKeepNoCache:
+    def test_shards_inside_a_set_never_cache(self, service, query_schemas):
+        stream = query_schemas + [paper_personal_schema()]
+        for schema in stream:
+            service.match(schema)
+            service.match(schema, top_k=2)
+        service.match_many(stream, delta=0.6)
+        service.add_tree(TreeBuilder.from_nested({"person": ["name"]}, name="added"))
+        service.match_many(stream)
+        assert service.query_cache_len > 0
+        assert service.counters.get("query_cache_hits") > 0
+        assert all(shard.query_cache_len == 0 for shard in service.shards)
 
 
 class TestBatchedIdentity:
