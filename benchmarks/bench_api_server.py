@@ -17,9 +17,11 @@ three claims:
     paths hold their request objects across calls, as an in-process caller
     does; JSON/wire parsing of v1 request lines is *transport* cost, outside
     both paths, and is measured separately by the server section.  Measured
-    with the query cache disabled so both paths do full search work, and as
-    the median of ``--rounds`` alternating runs so a one-off scheduler blip
-    cannot decide the ratio.
+    with the query cache disabled so both paths do full search work, over
+    ``--rounds`` back-to-back pairs whose order alternates (legacy first in
+    even pairs, typed first in odd ones), and gated on the median of the
+    per-pair ``typed/legacy - 1``: neither path always runs second, and a
+    one-off scheduler blip moves one pair, not the verdict.
 
 ``unsharded batch speedup`` (``--min-batch-speedup``)
     ``match_many`` on the *unsharded* service — the fingerprint dedup +
@@ -75,7 +77,7 @@ def distinct_schemas():
 
 
 def bench_envelope_overhead(repository, schemas, args):
-    """Median legacy vs typed wall-clock over alternating full-work rounds."""
+    """Median per-pair typed/legacy overhead over order-alternating full-work pairs."""
     service = MatchingService(
         repository,
         element_threshold=args.threshold,
@@ -102,23 +104,38 @@ def bench_envelope_overhead(repository, schemas, args):
         for response, result in zip(typed_responses, legacy_results)
     )
 
-    legacy_times, typed_times = [], []
-    for _ in range(args.rounds):
+    def run_legacy():
         start = time.perf_counter()
         for schema in schemas:
             service.match(schema, delta=args.delta, top_k=args.top_k)
-        legacy_times.append(time.perf_counter() - start)
+        return time.perf_counter() - start
+
+    def run_typed():
         start = time.perf_counter()
         for request in requests:
             service.match(request)
-        typed_times.append(time.perf_counter() - start)
-    legacy_s = statistics.median(legacy_times)
-    typed_s = statistics.median(typed_times)
+        return time.perf_counter() - start
+
+    legacy_times, typed_times, overheads = [], [], []
+    for pair in range(args.rounds):
+        if pair % 2:
+            typed_s = run_typed()
+            legacy_s = run_legacy()
+        else:
+            legacy_s = run_legacy()
+            typed_s = run_typed()
+        legacy_times.append(legacy_s)
+        typed_times.append(typed_s)
+        overheads.append(typed_s / legacy_s - 1.0)
     return {
         "identical": identical,
-        "legacy_seconds": round(legacy_s, 4),
-        "typed_seconds": round(typed_s, 4),
-        "overhead_fraction": round(typed_s / legacy_s - 1.0, 4),
+        "pairs": args.rounds,
+        "legacy_seconds": round(statistics.median(legacy_times), 4),
+        "typed_seconds": round(statistics.median(typed_times), 4),
+        "overhead_fraction": round(statistics.median(overheads), 4),
+        "overhead_quartiles": [
+            round(value, 4) for value in statistics.quantiles(overheads, n=4)
+        ],
     }
 
 
@@ -211,7 +228,10 @@ def main(argv=None) -> int:
     parser.add_argument("--threshold", type=float, default=0.55, help="element similarity threshold")
     parser.add_argument("--delta", type=float, default=0.6, help="objective threshold")
     parser.add_argument("--top-k", type=int, default=5, dest="top_k", help="search bound for every query")
-    parser.add_argument("--rounds", type=int, default=3, help="alternating rounds for the overhead median")
+    parser.add_argument(
+        "--rounds", type=int, default=101,
+        help="order-alternating legacy/typed pairs for the overhead median (at least 2)",
+    )
     parser.add_argument("--batch-repeat", type=int, default=6, help="how often each distinct query repeats in the batch workload")
     parser.add_argument("--clients", type=int, default=4, help="concurrent TCP clients for the server section")
     parser.add_argument("--requests-per-client", type=int, default=5, dest="requests_per_client")
@@ -226,6 +246,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="benchmark JSON output path")
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds needs at least 2 pairs")
 
     profile = RepositoryProfile(
         target_node_count=args.nodes, seed=args.seed, name=f"bench-api-{args.nodes}"

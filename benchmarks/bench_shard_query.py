@@ -6,8 +6,8 @@ gates three claims:
 
 ``outputs identical`` (hard gate)
     The sharded service's rankings — for every shard count tested, with and
-    without ``top_k``, under serial, thread-pool and process-pool executors —
-    are bit-identical to the unsharded :class:`~repro.service.MatchingService`.
+    without ``top_k``, per query and through ``match_many`` — are
+    bit-identical to the unsharded :class:`~repro.service.MatchingService`.
 
 ``cross-shard incumbent pruning fires`` (hard gate)
     In top-``k`` mode all shards share one incumbent pool; the merged
@@ -22,13 +22,8 @@ gates three claims:
     This speedup is deterministic (dedup arithmetic, not parallelism), so it
     holds on single-core runners too.
 
-Executor wall-clock times are also reported.  ``--min-process-speedup`` gates
-the *frozen* process-pool fan-out (the shards frozen to a temporary shard set
-and served from it, so each fan-out task pickles its shard to snapshot paths
-that workers reopen once) against the serial sharded path, at a 1.0x floor.
-The gate is auto-skipped (and recorded as such) when the process may run on
-one CPU only, where a process pool cannot win by construction.  The plain
-(copy-per-task) process timing is still reported for comparison.
+The fan-out's ``match_many`` wall clock at the headline shard count is also
+reported, with ``cpu_count`` and the CPU affinity set's size.
 
 Run from the repository root::
 
@@ -41,19 +36,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.service import MatchingService
-from repro.shard import ShardedMatchingService, load_shard_set, write_shard_set
-from repro.utils.executor import (
-    ProcessPoolTaskExecutor,
-    ThreadPoolTaskExecutor,
-    available_cpu_count,
-)
+from repro.shard import ShardedMatchingService
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import (
     book_personal_schema,
@@ -80,6 +69,13 @@ def ranking_keys(results):
     return [result.ranking_key() for result in results]
 
 
+def cpu_affinity() -> int:
+    """CPUs this process may run on (the affinity set where the OS reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=8_000, help="target repository node count")
@@ -94,21 +90,6 @@ def main(argv=None) -> int:
         help="fail when the batched sharded front-end is not this many times faster than "
         "replaying the workload query-by-query against a cache-off unsharded service "
         "(0 disables)",
-    )
-    parser.add_argument(
-        "--min-process-speedup",
-        type=float,
-        default=1.0,
-        help="fail when the frozen-shard process-pool fan-out is not this many times "
-        "faster than the serial sharded path (0 disables; auto-skipped when only one "
-        "CPU is usable)",
-    )
-    parser.add_argument(
-        "--tasks-per-worker",
-        type=int,
-        default=1,
-        dest="tasks_per_worker",
-        help="chunking knob forwarded to ProcessPoolTaskExecutor",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON output path")
     args = parser.parse_args(argv)
@@ -143,55 +124,15 @@ def main(argv=None) -> int:
                 result.counters.get("incumbent_pruned_partial_mappings") for result in topk
             )
 
-    # -- identity + wall clock per executor (the headline shard count) --------
-    def build(executor=None):
-        return ShardedMatchingService.from_repository(
-            repository,
-            args.shards,
-            element_threshold=args.threshold,
-            query_cache_size=0,
-            executor=executor,
-        )
-
-    def timed_run(executor, manifest=None):
-        if manifest is not None:
-            service = load_shard_set(manifest, executor=executor, query_cache_size=0)
-        else:
-            service = build(executor)
-            service.build_derived_state()
-        if executor is not None:
-            service.match(schemas[0], top_k=args.top_k)  # warm the worker pool
-        started = time.perf_counter()
-        results = service.match_many(schemas, top_k=args.top_k)
-        elapsed = time.perf_counter() - started
-        executor_info = None
-        if isinstance(executor, ProcessPoolTaskExecutor):
-            executor_info = {
-                "workers": executor.last_workers_used,
-                "chunk_sizes": list(executor.last_chunk_sizes),
-                "tasks_per_worker": executor.tasks_per_worker,
-            }
-        service.close()
-        if executor is not None:
-            executor.close()
-        return elapsed, ranking_keys(results) == ranking_keys(reference_topk), executor_info
-
-    serial_seconds, serial_identical, _ = timed_run(None)
-    thread_seconds, thread_identical, _ = timed_run(ThreadPoolTaskExecutor(args.shards))
-    process_seconds, process_identical, _ = timed_run(
-        ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker)
+    # -- identity + wall clock of match_many (the headline shard count) -------
+    fan_out = ShardedMatchingService.from_repository(
+        repository, args.shards, element_threshold=args.threshold, query_cache_size=0
     )
-    with tempfile.TemporaryDirectory(prefix="bench-shard-query-") as scratch:
-        write_shard_set(build(), scratch, frozen=True)
-        frozen_seconds, frozen_identical, frozen_executor = timed_run(
-            ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker),
-            manifest=Path(scratch) / "manifest.json",
-        )
-    identical = (
-        identical and serial_identical and thread_identical and process_identical and frozen_identical
-    )
-    process_speedup = serial_seconds / process_seconds if process_seconds > 0 else float("inf")
-    frozen_speedup = serial_seconds / frozen_seconds if frozen_seconds > 0 else float("inf")
+    fan_out.build_derived_state()
+    started = time.perf_counter()
+    fan_out_results = fan_out.match_many(schemas, top_k=args.top_k)
+    fan_out_seconds = time.perf_counter() - started
+    identical = identical and ranking_keys(fan_out_results) == ranking_keys(reference_topk)
 
     # -- batched front-end vs query-by-query replay ---------------------------
     # The baseline must do the work reuse saves: ``unsharded`` already holds
@@ -216,32 +157,17 @@ def main(argv=None) -> int:
     identical = identical and ranking_keys(batch_results) == ranking_keys(naive_results)
     batch_speedup = naive_seconds / batch_seconds if batch_seconds > 0 else float("inf")
 
-    single_core = available_cpu_count() < 2
-    if args.min_process_speedup <= 0:
-        process_gate: object = "disabled"
-    elif single_core:
-        process_gate = "skipped (one usable CPU)"
-    else:
-        process_gate = round(frozen_speedup, 3)
-
     report = {
         "benchmark": "shard_query",
         "cpu_count": os.cpu_count(),
-        "cpu_affinity": available_cpu_count(),
-        "process_speedup_gate": process_gate,
+        "cpu_affinity": cpu_affinity(),
         "repository": {"trees": repository.tree_count, "nodes": repository.node_count},
         "shards": args.shards,
         "threshold": args.threshold,
         "top_k": args.top_k,
         "outputs_identical": identical,
         "incumbent_pruned_partial_mappings": incumbent_pruned,
-        "serial_batch_seconds": round(serial_seconds, 6),
-        "thread_batch_seconds": round(thread_seconds, 6),
-        "process_batch_seconds": round(process_seconds, 6),
-        "frozen_batch_seconds": round(frozen_seconds, 6),
-        "process_speedup": round(process_speedup, 3),
-        "frozen_process_speedup": round(frozen_speedup, 3),
-        "process_executor": frozen_executor,
+        "serial_batch_seconds": round(fan_out_seconds, 6),
         "batch_workload": {
             "queries": len(batch),
             "distinct": len(schemas),
@@ -269,17 +195,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.min_process_speedup > 0 and single_core:
-        print("process-speedup gate skipped (one usable CPU)")
-    elif args.min_process_speedup > 0 and frozen_speedup < args.min_process_speedup:
-        print(
-            f"FAIL: frozen-shard process fan-out speedup {frozen_speedup:.2f}x below "
-            f"required {args.min_process_speedup}x",
-            file=sys.stderr,
-        )
-        return 1
     print(
-        f"ok: outputs identical across 1/2/{args.shards} shards and all executors, "
+        f"ok: outputs identical across 1/2/{args.shards} shards and match_many, "
         f"cross-shard pruning cut {incumbent_pruned} partial mappings, "
         f"batched fan-out {batch_speedup:.1f}x faster than query-by-query replay"
     )

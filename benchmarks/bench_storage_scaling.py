@@ -46,7 +46,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.matchers.index import RepositoryNameIndex
 from repro.service import MatchingService, load_snapshot, write_snapshot
 from repro.storage import freeze_service, load_frozen_service
-from repro.storage.format import _OPEN_CACHE
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_storage_scaling.json"
@@ -88,8 +87,11 @@ def build_frozen(trees: int, workdir: Path):
 
 
 def measure_open(path: Path, rounds: int) -> tuple[float, float]:
-    """(first-open seconds, best reopen seconds) for one frozen snapshot."""
-    _OPEN_CACHE.clear()  # the first round must map + validate from scratch
+    """(first-open seconds, best reopen seconds) for one frozen snapshot.
+
+    Every round maps and validates the file from scratch; the gates read the
+    first round only.
+    """
     timings = []
     for _ in range(max(rounds, 1)):
         started = time.perf_counter()

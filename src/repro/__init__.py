@@ -65,9 +65,7 @@ from repro.system import (
 )
 from repro.service import (
     MatchingService,
-    ProcessPoolTaskExecutor,
     SerialExecutor,
-    ThreadPoolTaskExecutor,
     load_snapshot,
     write_snapshot,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "MatchingService",
     "NodeKind",
     "ObjectiveError",
-    "ProcessPoolTaskExecutor",
     "ReproError",
     "SchemaError",
     "SchemaMapping",
@@ -125,7 +122,6 @@ __all__ = [
     "ShardError",
     "ShardManifestError",
     "ShardedMatchingService",
-    "ThreadPoolTaskExecutor",
     "TokenNameMatcher",
     "TopKPool",
     "TreeBuilder",

@@ -2,17 +2,16 @@
 
 Seven PRs of growth layered bit-identity contracts on the paper pipeline —
 executor-independent tie-breaking, shard-merge identity, versioned wire
-envelopes, monotonic-clock deadlines, pickle-redirect boundaries.  Tests
-enforce those contracts only when they happen to exercise the violating
-path; this package enforces them *mechanically*, on every file, at CI time:
+envelopes, monotonic-clock deadlines.  Tests enforce those contracts only
+when they happen to exercise the violating path; this package enforces them
+*mechanically*, on every file, at CI time (RPA003, the retired pickle-boundary
+audit, keeps its number unused):
 
 =========  ==================================================================
 RPA001     determinism — no wall clock / unseeded randomness outside
            ``utils/rng.py`` and ``resilience/``
 RPA002     hash-order dependence — no bare set / ``.keys()`` iteration on
            ranking, signature or wire paths (``mapping/``, ``shard/``, ``api/``)
-RPA003     pickle boundary — classes crossing the process-pool boundary are
-           audited (allowlist + hooks), no lambdas/closures into executors
 RPA004     async hygiene — no blocking calls in ``api/`` async bodies, no
            sync lock held across an ``await``
 RPA005     counter-glossary drift — ``counters.increment``/``set`` literals

@@ -2,7 +2,7 @@
 
 The repo's determinism, concurrency and drift contracts (executor-independent
 tie-breaking, shard-merge identity, versioned wire envelopes, monotonic-clock
-deadlines, pickle-redirect boundaries) were historically enforced only by
+deadlines) were historically enforced only by
 tests that happen to exercise the violating path.  ``repro.analysis`` turns
 each contract into a *mechanical* check: a :class:`Checker` walks a file's
 ``ast`` and reports :class:`Finding` objects; the driver in

@@ -9,10 +9,6 @@ from repro.analysis.rules.async_hygiene import AsyncHygieneChecker
 from repro.analysis.rules.counter_glossary import CounterGlossaryChecker
 from repro.analysis.rules.determinism import DeterminismChecker
 from repro.analysis.rules.hash_order import HashOrderChecker
-from repro.analysis.rules.pickle_boundary import (
-    PICKLE_BOUNDARY_ALLOWLIST,
-    PickleBoundaryChecker,
-)
 from repro.analysis.rules.wire_drift import WireDriftChecker
 
 #: Every registered rule, in id order.  New rules (generation-swap and
@@ -20,7 +16,6 @@ from repro.analysis.rules.wire_drift import WireDriftChecker
 CHECKER_CLASSES: List[Type[Checker]] = [
     DeterminismChecker,
     HashOrderChecker,
-    PickleBoundaryChecker,
     AsyncHygieneChecker,
     CounterGlossaryChecker,
     WireDriftChecker,
@@ -38,7 +33,6 @@ def rules_by_id() -> Dict[str, Type[Checker]]:
 
 __all__ = [
     "CHECKER_CLASSES",
-    "PICKLE_BOUNDARY_ALLOWLIST",
     "default_checkers",
     "rules_by_id",
 ]

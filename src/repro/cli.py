@@ -65,9 +65,9 @@ Examples
     python -m repro.cli shard split --repository repo.json --shards 4 \\
         --router size-balanced --out-dir ./shards
     python -m repro.cli shard status --manifest ./shards/manifest.json
-    python -m repro.cli query --shards ./shards/manifest.json --batch queries.jsonl --workers 4
+    python -m repro.cli query --shards ./shards/manifest.json --batch queries.jsonl
     echo '{"v": 1, "kind": "match", "schema": {"person": ["name", "email"]}}' | \\
-        python -m repro.cli serve --shards ./shards/manifest.json --workers 4
+        python -m repro.cli serve --shards ./shards/manifest.json
     python -m repro.cli ingest run --run-dir ./run --bundled --source-dir ./schemas
     python -m repro.cli ingest resume --run-dir ./run --bundled --source-dir ./schemas
     python -m repro.cli trace synth --out trace.json --length 200 --seed 7
@@ -204,16 +204,6 @@ def _make_service(repository, args: argparse.Namespace):
     )
 
 
-def _make_executor(workers: int, kind: str = "thread"):
-    from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
-
-    if workers <= 1:
-        return None
-    if kind == "process":
-        return ProcessPoolTaskExecutor(workers)
-    return ThreadPoolTaskExecutor(workers)
-
-
 def _command_snapshot(args: argparse.Namespace) -> int:
     from repro.service import write_snapshot
 
@@ -251,7 +241,7 @@ def _command_snapshot_inspect(args: argparse.Namespace) -> int:
 
     path = Path(args.snapshot)
     if is_frozen_file(path):
-        snapshot = open_frozen(path, cached=False)
+        snapshot = open_frozen(path)
         header = snapshot.header
         meta = header["repository"]
         print(f"frozen snapshot {path}")
@@ -338,9 +328,9 @@ def _load_service_argument(args: argparse.Namespace):
 
     Resilience flags (``--retries``, ``--hedge-ms``, ``--fault-plan``) turn
     on the shard layer's retry/hedge/failover fan-out.  Against a single
-    snapshot only ``--fault-plan`` applies: the per-cluster executor is
-    wrapped in a :class:`~repro.resilience.ChaosExecutor` so injected delays
-    and errors exercise the unsharded pipeline deterministically.
+    snapshot only ``--fault-plan`` applies: the per-cluster tasks run through
+    a :class:`~repro.resilience.ChaosExecutor` so injected delays and errors
+    exercise the unsharded pipeline deterministically.
     """
     from repro.service import load_snapshot
     from repro.shard import load_shard_set
@@ -349,41 +339,29 @@ def _load_service_argument(args: argparse.Namespace):
     shards = getattr(args, "shards", None)
     if bool(snapshot) == bool(shards):
         raise ReproError("pass exactly one of --snapshot or --shards")
-    executor = _make_executor(args.workers, args.executor)
     cache_size = getattr(args, "cache_size", None)
     resilience = _resilience_from_args(args)
     if snapshot:
         if getattr(args, "retries", None) is not None or getattr(args, "hedge_ms", None) is not None:
             raise ReproError("--retries and --hedge-ms require --shards (shard-level failover)")
+        executor = None
         if resilience is not None and resilience.fault_plan is not None:
             from repro.resilience import ChaosExecutor, FaultInjector
             from repro.utils.executor import SerialExecutor
 
-            executor = ChaosExecutor(
-                executor if executor is not None else SerialExecutor(),
-                FaultInjector(resilience.fault_plan),
-            )
+            executor = ChaosExecutor(SerialExecutor(), FaultInjector(resilience.fault_plan))
         return load_snapshot(Path(snapshot), executor=executor, query_cache_size=cache_size)
-    return load_shard_set(
-        Path(shards), executor=executor, query_cache_size=cache_size, resilience=resilience
-    )
+    return load_shard_set(Path(shards), query_cache_size=cache_size, resilience=resilience)
 
 
 def _close_service(service) -> None:
     """Release what a CLI-owned service holds on the way out.
 
-    The sharded ``close()`` stops fan-out pools; the task executor the CLI
-    created in :func:`_make_executor` is shut down explicitly — a process
-    pool left to interpreter teardown races concurrent.futures' atexit hook
-    into spurious fd errors on stderr.
+    The sharded ``close()`` stops the resilient fan-out's thread pools.
     """
     close = getattr(service, "close", None)
     if callable(close):
         close()
-    task_executor = getattr(service, "_task_executor", None)
-    executor = task_executor() if callable(task_executor) else getattr(service, "executor", None)
-    if executor is not None:
-        executor.close()
 
 
 def _personal_schema_from_spec(spec, name: str = "personal"):
@@ -910,11 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top-k", type=int, default=None, dest="top_k",
         help="bound the search to the k best mappings (enables cross-cluster pruning; default: all mappings >= δ)",
     )
-    query_parser.add_argument("--workers", type=int, default=1, help="per-cluster generation workers")
-    query_parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker backend when --workers > 1 (process sidesteps the GIL for CPU-bound searches)",
-    )
     query_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
         help="query-cache capacity override (entries; 0 disables; default: the snapshot's setting)",
@@ -940,11 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--max-in-flight", type=int, default=8, dest="max_in_flight",
         help="bound on concurrently executing requests across all TCP connections",
-    )
-    serve_parser.add_argument("--workers", type=int, default=1, help="per-cluster generation workers")
-    serve_parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker backend when --workers > 1 (process sidesteps the GIL for CPU-bound searches)",
     )
     serve_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
@@ -1083,11 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay query-by-query through match() instead of the deduping match_many() batch path",
     )
     trace_replay_parser.add_argument("--json", action="store_true", help="print the full JSON report")
-    trace_replay_parser.add_argument("--workers", type=int, default=1, help="per-cluster generation workers")
-    trace_replay_parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker backend when --workers > 1",
-    )
     trace_replay_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
         help="query-cache capacity override (entries; 0 disables)",

@@ -165,24 +165,6 @@ class RepositoryDistanceOracle:
         # build-and-insert of a missing per-tree oracle, not the O(1) queries.
         self._build_lock = threading.Lock()
 
-    # -- pickling (process executors) -----------------------------------------
-    # Mapping problems shipped to worker processes reference the oracle.  The
-    # lock cannot cross a process boundary, and the built per-tree tables are
-    # cheap to rebuild lazily compared to serializing them, so a pickled
-    # oracle travels empty: each worker rebuilds only the trees its clusters
-    # actually touch.  (Snapshots persist oracles through their own explicit
-    # format, not through pickle.)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_build_lock"]
-        state["_oracles"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_lock = threading.Lock()
-
     def oracle(self, tree_id: int) -> TreeDistanceOracle:
         """The (cached) oracle for one repository tree (thread-safe build)."""
         oracle = self._oracles.get(tree_id)

@@ -32,8 +32,8 @@ a pruned branch satisfies ``bound < floor <= final k-th best distinct score``
 — none of its completions could displace the final top-``k``, and ties at the
 floor are never pruned (the cut is strict).  Because the final ranking is
 re-sorted with the canonical deterministic key, the merged top-``k`` is
-identical no matter how the floor rose over time, i.e. identical under serial,
-thread-pool and process-pool execution.  This argument requires a *complete*
+identical no matter how the floor rose over time, including when shard
+searches raise it from concurrent threads.  This argument requires a *complete*
 policy; incomplete ones (beam, budget-limited A*) opt out of incumbent
 pruning via :meth:`SearchPolicy.supports_shared_pruning` — they keep δ-only
 pruning plus plain top-``k`` truncation, staying deterministic.  Without
@@ -67,12 +67,12 @@ _NEGATIVE_INFINITY = float("-inf")
 class TopKPool:
     """Thread-safe pool of the ``k`` best mapping scores seen so far.
 
-    One pool instance is shared by every per-cluster search of a query; the
-    executors may run those searches on many threads (or, via pickling, copy
-    the pool per worker process — see ``__getstate__``).  The pool only stores
-    scores, never mappings: it exists to *raise the pruning floor*, while the
-    mappings themselves flow through the normal per-cluster results and are
-    merged deterministically afterwards.
+    One pool instance is shared by every per-cluster search of a query, and
+    by every shard search of a sharded query, which resilient mode may run on
+    attempt threads.  The pool only stores scores, never mappings: it exists
+    to *raise the pruning floor*, while the mappings themselves flow through
+    the normal per-cluster results and are merged deterministically
+    afterwards.
     """
 
     def __init__(self, k: int) -> None:
@@ -122,21 +122,6 @@ class TopKPool:
         with self._lock:
             return len(self._members)
 
-    # -- pickling (process executors) -----------------------------------------
-    # A pickled pool is a *snapshot*: the worker process gets a private copy
-    # holding the scores known at submission time, so cross-cluster sharing
-    # degrades to per-worker sharing under a process executor.  Locks do not
-    # pickle, hence the explicit state hooks.
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TopKPool(k={self.k}, floor={self.floor():.3f})"
 
@@ -156,9 +141,7 @@ class TranslatingTopKPool:
     The view is intentionally minimal: it forwards ``floor``/``__len__`` and
     only intercepts ``offer``.  It satisfies the same exactness argument as a
     bare pool (the floor is still a realized, distinct-by-merged-signature
-    mapping score), so complete policies may prune against it freely.  It
-    pickles like the pool it wraps (``translate`` must be picklable for
-    process executors), degrading to a per-worker snapshot the same way.
+    mapping score), so complete policies may prune against it freely.
     """
 
     __slots__ = ("pool", "translate")

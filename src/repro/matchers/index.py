@@ -130,23 +130,6 @@ class LRUMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- pickling (process executors) -----------------------------------------
-    # Shard fan-out tasks ship whole MatchingService objects (which hold memos
-    # through their matcher and query cache) to worker processes.  Locks do not
-    # pickle, and the cached tables would dominate the payload for no
-    # correctness benefit (worker-side cache writes never travel back), so a
-    # pickled memo is an *empty* copy with the same capacity.
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_entries"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 class RepositoryNameIndex:
     """Repository nodes grouped by (case-folded) name, with blocking indexes.
@@ -311,17 +294,6 @@ class RepositoryNameIndex:
             # retry the packing scan on every query.
             packed = self._packed_names = built if built is not None else False
         return packed or None
-
-    # -- pickling -----------------------------------------------------------------
-    # Name indexes travel inside snapshots and (rarely) pickled repositories;
-    # the packed matrix is derived state and rebuilds lazily, so it never
-    # rides along (numpy arrays would bloat the payload and tie the wire
-    # format to numpy's).
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_packed_names", None)
-        return state
 
     # -- blocking persistence ----------------------------------------------------
 

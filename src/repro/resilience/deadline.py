@@ -8,10 +8,7 @@ and cooperative: nothing is interrupted, the engine simply stops expanding and
 returns whatever incumbents it has — a *partial* result, clearly marked.
 
 The clock is injectable so tests can drive expiry deterministically instead
-of sleeping: pass any zero-argument callable returning seconds.  Pickling
-(for process-pool executors) snapshots the *remaining* time and re-anchors it
-against the worker's own monotonic clock — monotonic readings are not
-comparable across processes, remaining durations are.
+of sleeping: pass any zero-argument callable returning seconds.
 """
 
 from __future__ import annotations
@@ -43,19 +40,5 @@ class Deadline:
         """Seconds until expiry (negative once expired)."""
         return self._expires_at - self._clock()
 
-    # -- pickling (process-pool executors) -----------------------------------
-    # The injected clock may be a closure and monotonic readings are process
-    # local, so a pickled deadline travels as its remaining duration and is
-    # re-anchored on the receiving side's standard monotonic clock.  Transfer
-    # latency eats into the budget slightly late (the remaining time is
-    # measured at pickle time), which errs on the permissive side.
-
-    def __reduce__(self):
-        return (_rehydrate_deadline, (self.remaining(),))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
-def _rehydrate_deadline(remaining: float) -> Deadline:
-    return Deadline(time.monotonic() + remaining)

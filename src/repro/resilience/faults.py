@@ -237,8 +237,9 @@ class ChaosExecutor(DelegatingExecutor):
 
     Keys default to ``"task-<index>"`` (the item's position in the ``map``
     call); pass ``key_fn(item, index)`` to key faults by item content instead.
-    In-process only: the injector's shared call counters do not survive
-    pickling, so wrap serial or thread executors, not process pools.
+    The injector's call counters live in this process: the wrapped executor
+    must run its tasks here, as :class:`~repro.utils.executor.SerialExecutor`
+    does.
     """
 
     name = "chaos"
@@ -260,7 +261,4 @@ class ChaosExecutor(DelegatingExecutor):
             index, item = pair
             return injector.call(key_fn(item, index), fn, item)
 
-        # repro: allow[RPA003] ChaosExecutor is in-process by contract (the
-        # injector's shared call counters do not survive pickling — see class
-        # docstring); it only ever wraps serial or thread executors
         return self.inner.map(run, list(enumerate(items)))

@@ -93,18 +93,6 @@ class SchemaRepository:
         self._version += 1
         self._name_index_cache.clear()
 
-    # -- pickling (process executors) -----------------------------------------
-    # Per-cluster task payloads shipped to worker processes reach the
-    # repository through the distance oracle.  The lazily built name indexes
-    # are only used by the element-matching stage, which always runs in the
-    # parent process, so a pickled repository travels without them (they would
-    # dominate the payload size otherwise).
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_name_index_cache"] = {}
-        return state
-
     def add_tree(self, tree: SchemaTree) -> int:
         """Register a tree and return its assigned ``tree_id``."""
         if tree.node_count == 0:

@@ -1,10 +1,10 @@
-"""Service layer: snapshots, incremental updates, concurrent query execution.
+"""Service layer: snapshots, incremental updates, cached query execution.
 
 The experiment harness treats every matching run as a throwaway process; this
 package treats the repository as a long-lived, versioned asset.
 
 * :class:`MatchingService` — the facade: query caching, incremental
-  ``add_tree``/``remove_tree``, pluggable concurrency.
+  ``add_tree``/``remove_tree``, a pluggable per-cluster task executor.
 * :mod:`repro.service.snapshot` — one-file persistence of the repository and
   all derived state (indexes, oracles, partition).
 * :class:`RepositoryPartition` / :class:`PartitionClusterer` — the
@@ -26,23 +26,16 @@ from repro.service.snapshot import (
     snapshot_to_service,
     write_snapshot,
 )
-from repro.utils.executor import (
-    ProcessPoolTaskExecutor,
-    SerialExecutor,
-    TaskExecutor,
-    ThreadPoolTaskExecutor,
-)
+from repro.utils.executor import SerialExecutor, TaskExecutor
 
 __all__ = [
     "MatchingService",
     "PartitionClusterer",
-    "ProcessPoolTaskExecutor",
     "RepositoryPartition",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "SerialExecutor",
     "TaskExecutor",
-    "ThreadPoolTaskExecutor",
     "load_snapshot",
     "schema_fingerprint",
     "service_to_snapshot_dict",

@@ -18,7 +18,7 @@ queries:
   repository and patch only the affected index postings, oracle rows and
   partition entries, with results provably identical to a full rebuild
   (``tests/service/test_incremental.py`` pins the equivalence);
-* **concurrent queries** — per-cluster mapping generation dispatches through
+* **cached queries** — per-cluster mapping generation dispatches through
   a pluggable :class:`~repro.utils.executor.TaskExecutor`, and a bounded LRU
   of final results keyed by a personal-schema fingerprint answers repeated
   queries without running the pipeline (the heavy-traffic scenario).
@@ -81,9 +81,9 @@ class MatchingService(MatcherAPIMixin):
     element_threshold, delta, use_batch_matching:
         As for :class:`~repro.system.bellflower.Bellflower`.
     executor:
-        Optional :class:`~repro.utils.executor.TaskExecutor` for concurrent
-        per-cluster mapping generation.  Results are identical for every
-        executor; see :mod:`repro.utils.executor` for the determinism
+        Optional :class:`~repro.utils.executor.TaskExecutor` the per-cluster
+        mapping generation is dispatched through.  Results are identical for
+        every executor; see :mod:`repro.utils.executor` for the determinism
         contract.
     query_cache_size:
         Capacity of the result cache: final results keyed by (schema

@@ -35,7 +35,6 @@ from repro.service.snapshot import load_snapshot, write_snapshot
 from repro.shard.router import ShardRouter, make_router
 from repro.resilience.fanout import ResiliencePolicy
 from repro.shard.service import ShardedMatchingService, copy_tree
-from repro.utils.executor import TaskExecutor
 from repro.utils.fileio import write_json_atomic
 
 MANIFEST_FORMAT = "bellflower-shard-manifest"
@@ -203,7 +202,6 @@ def manifest_router(payload: Dict[str, Any]) -> ShardRouter:
 def load_shard_set(
     manifest_path: str | Path,
     *,
-    executor: Optional[TaskExecutor] = None,
     query_cache_size: Optional[int] = None,
     resilience: Optional[ResiliencePolicy] = None,
     **snapshot_overrides: Any,
@@ -246,7 +244,6 @@ def load_shard_set(
         shards,
         payload["assignment"],
         router=router,
-        executor=executor,
         query_cache_size=(
             shards[0].query_cache_size if query_cache_size is None else query_cache_size
         ),

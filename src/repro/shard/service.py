@@ -13,8 +13,7 @@ Exactness (sharded ≡ unsharded, bit for bit)
 --------------------------------------------
 
 The merged ranking is identical to the one the unsharded service produces,
-for any shard count and any executor, because every pipeline stage
-distributes over trees:
+for any shard count, because every pipeline stage distributes over trees:
 
 * **element matching** scores (personal node, repository node) pairs
   independently, so the union of the shards' candidate tables *is* the
@@ -47,9 +46,7 @@ realized signatures into merged coordinates so deduplication works on the
 merged mapping identity).  A good mapping found on any shard raises the
 pruning floor everywhere — the shard-level analogue of PR 3's cross-cluster
 bound sharing, and exact for the same reason: the floor is always a realized,
-distinct mapping score and complete policies never lose ties.  Under a
-process executor the pool degrades to a per-worker snapshot exactly like the
-per-cluster case; results stay identical, only pruning weakens.
+distinct mapping score and complete policies never lose ties.
 
 Batched front-end
 -----------------
@@ -59,10 +56,10 @@ front end every backend shares
 (:meth:`~repro.api.matcher.MatcherAPIMixin._answer_batch`): identical
 schemas (same fingerprint, same effective ``δ``/``top_k``) are deduplicated,
 the set's result cache answers what it holds, and only the remaining misses
-are dispatched — every (miss, shard) pair becomes one executor task, so a
-batch saturates the executor even when each individual query is small.  The
-set caches for its shards: a shard inside a set runs its pipeline directly
-and never reads or writes a cache of its own.
+are dispatched — every (miss, shard) pair becomes one shard task, run inline
+or, in resilient mode, on the fan-out's attempt threads.  The set caches for
+its shards: a shard inside a set runs its pipeline directly and never reads
+or writes a cache of its own.
 """
 
 from __future__ import annotations
@@ -92,7 +89,6 @@ from repro.service.service import MatchingService
 from repro.shard.router import ShardRouter, SizeBalancedRouter, check_shard_count
 from repro.system.results import ClusterReport, MatchResult
 from repro.utils.counters import CounterSet, ThreadSafeCounterSet
-from repro.utils.executor import TaskExecutor
 from repro.utils.timers import StageTimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,8 +141,6 @@ class _ShardSignatureTranslator:
     A signature is the tuple of shard-local global node ids the mapping
     targets.  Local global ids are contiguous per local tree, so translation
     is "find the local tree by bisection, add that tree's offset delta".
-    Picklable (plain tuples), as :class:`TranslatingTopKPool` requires for
-    process executors.
     """
 
     __slots__ = ("starts", "deltas")
@@ -164,7 +158,7 @@ class _ShardSignatureTranslator:
 
 
 def _run_shard_query(task) -> MatchResult:
-    """Worker body of the shard fan-out (module-level so process pools can pickle it).
+    """Body of one shard fan-out task.
 
     Runs the shard's pipeline directly: the set's front end caches for its
     shards, and a result pruned against a pool shared with sibling shards is
@@ -243,10 +237,6 @@ class ShardedMatchingService(MatcherAPIMixin):
     router:
         Placement policy for live :meth:`add_tree` calls (and recorded in
         manifests).  Defaults to :class:`~repro.shard.router.SizeBalancedRouter`.
-    executor:
-        Optional :class:`~repro.utils.executor.TaskExecutor` the per-shard
-        queries fan out through (``None`` runs shards serially inline).
-        Results are identical for every executor.
     query_cache_size:
         Capacity of the set's result cache: merged results keyed by (schema
         fingerprint, effective ``δ``, ``top_k``, shard-set version).  ``0``
@@ -260,7 +250,7 @@ class ShardedMatchingService(MatcherAPIMixin):
         Optional :class:`~repro.resilience.ResiliencePolicy`.  When given,
         shard queries run through a :class:`~repro.resilience.ResilientFanout`
         (retries with seeded backoff, optional hedging, per-shard circuit
-        breakers) instead of ``executor``, and a shard that stays unreachable
+        breakers) instead of inline, and a shard that stays unreachable
         degrades the answer to the surviving shards — the merged result is
         then marked ``degraded`` and lists the ``skipped_shards``.  ``None``
         keeps the strict behaviour: any shard failure propagates.
@@ -274,7 +264,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         assignment: Sequence[int],
         *,
         router: Optional[ShardRouter] = None,
-        executor: Optional[TaskExecutor] = None,
         query_cache_size: int = 64,
         global_version: int = 1,
         resilience: Optional[ResiliencePolicy] = None,
@@ -288,7 +277,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         self.shards: List[MatchingService] = list(shards)
         self._assignment: List[int] = list(assignment)
         self.router = router or SizeBalancedRouter()
-        self.executor = executor
         self.query_cache_size = query_cache_size
         self._result_cache = LRUMemo(query_cache_size)
         self.global_version = global_version
@@ -407,7 +395,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         shard_count: int,
         *,
         router: Optional[ShardRouter] = None,
-        executor: Optional[TaskExecutor] = None,
         matcher: Optional[ElementMatcher] = None,
         element_threshold: float = 0.6,
         delta: float = 0.75,
@@ -447,7 +434,6 @@ class ShardedMatchingService(MatcherAPIMixin):
             shards,
             assignment,
             router=active_router,
-            executor=executor,
             query_cache_size=query_cache_size,
             resilience=resilience,
         )
@@ -593,18 +579,14 @@ class ShardedMatchingService(MatcherAPIMixin):
         self.counters.increment("shard_queries", len(tasks))
         if self._fanout is not None:
             # Resilient mode: the fanout's own thread pools run the shard
-            # calls (with retries, hedging and circuit breaking); ``executor``
-            # is not consulted for queries.
+            # calls (with retries, hedging and circuit breaking).
             fan_tasks = [
                 (index % self.shard_count, task) for index, task in enumerate(tasks)
             ]
             outcomes = self._fanout.run(_run_shard_query, fan_tasks, deadline=deadline)
         else:
             outcomes = None
-            if self.executor is not None and len(tasks) > 1:
-                raw = self.executor.map(_run_shard_query, tasks)
-            else:
-                raw = [_run_shard_query(task) for task in tasks]
+            raw = [_run_shard_query(task) for task in tasks]
         merged_results = []
         for start in range(0, len(tasks), self.shard_count):
             if outcomes is None:
@@ -890,7 +872,7 @@ class ShardedMatchingService(MatcherAPIMixin):
         summary["router"] = self.router.name
         summary["global_version"] = self.global_version
         summary["repository_version"] = self.repository.version
-        summary["executor"] = "serial" if self.executor is None else self.executor.name
+        summary["executor"] = "serial"
         summary["query_cache_capacity"] = self.query_cache_size
         summary["query_cache_entries"] = len(self._result_cache)
         if self._fanout is not None:

@@ -9,7 +9,7 @@ little-endian arrays are mapped — not parsed — at open, so
 service in O(header) time regardless of repository size.
 
 * :mod:`repro.storage.format` — the container (magic, header, segment table,
-  validation, the shared int32 packing carrier, the per-process open cache);
+  validation, the shared int32 packing carrier);
 * :mod:`repro.storage.frozen` — mmap-backed view classes satisfying the same
   contracts as the JSON-loaded structures, plus :func:`load_frozen_service`;
 * :mod:`repro.storage.builder` — streaming freeze/convert/compact writers.

@@ -578,7 +578,7 @@ def compact_frozen(
     """
     from repro.storage.frozen import FrozenRepository
 
-    snapshot = open_frozen(source, cached=False)
+    snapshot = open_frozen(source)
     header = snapshot.header
     tree_count = int(header["repository"]["tree_count"])
     removed = set()

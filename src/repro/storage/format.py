@@ -57,10 +57,9 @@ import json
 import mmap
 import struct
 import sys
-import threading
 from array import array
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.utils.fileio import write_bytes_atomic
@@ -209,12 +208,7 @@ class FrozenSnapshot:
     segment table are validated (bounds, kinds, counts), and every later
     :meth:`int32`/:meth:`int8`/:meth:`raw` call is an O(1) view over the
     mapping.  Instances are shared freely across threads — views are
-    read-only and the small per-snapshot caches are guarded by a lock.
-
-    The ``runtime`` slot caches this process's lazily built repository/oracle
-    pair for the pickle-reopen fast path (see :mod:`repro.storage.frozen`):
-    every worker task that unpickles against the same snapshot reuses one
-    attached object graph instead of re-opening per task.
+    read-only.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -241,10 +235,6 @@ class FrozenSnapshot:
         self._segments: Dict[str, Dict[str, Any]] = {
             entry["name"]: entry for entry in self.header["segments"]
         }
-        self.lock = threading.Lock()
-        #: (repository, oracle) pair for the per-process pickle-reopen cache.
-        self.runtime: Optional[tuple] = None
-        self._index_cache: Dict[int, object] = {}
 
     # -- validation ----------------------------------------------------------
 
@@ -362,14 +352,6 @@ class FrozenSnapshot:
     def segment_names(self) -> List[str]:
         return [entry["name"] for entry in self.header["segments"]]
 
-    def cached_index(self, position: int, build) -> object:
-        """Per-snapshot memo for reopened name indexes (worker fast path)."""
-        with self.lock:
-            index = self._index_cache.get(position)
-            if index is None:
-                index = self._index_cache[position] = build()
-            return index
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FrozenSnapshot(path={self.source_path!r}, "
@@ -377,30 +359,11 @@ class FrozenSnapshot:
         )
 
 
-#: Per-process open-snapshot cache: N pool workers unpickling tasks against the
-#: same frozen file attach to one mapping instead of re-opening per task.
-_OPEN_CACHE: Dict[Tuple[str, int, int], FrozenSnapshot] = {}
-_OPEN_LOCK = threading.Lock()
+def open_frozen(path: str | Path) -> FrozenSnapshot:
+    """Map and validate a frozen snapshot.
 
-
-def open_frozen(path: str | Path, *, cached: bool = True) -> FrozenSnapshot:
-    """Open (or reuse this process's mapping of) a frozen snapshot.
-
-    The cache key is ``(resolved path, size, mtime_ns)``, so replacing the
-    file — every freeze is an atomic rename — naturally misses the cache and
-    maps the new generation while old readers keep their old (still mapped)
-    pages.
+    Every call maps the file as it is now: replacing the file (every freeze
+    is an atomic rename) never leaves a later open reading the old
+    generation, while readers of the old one keep their still-mapped pages.
     """
-    target = Path(path)
-    if not cached:
-        return FrozenSnapshot(target)
-    try:
-        stat = target.stat()
-    except OSError as exc:
-        raise ReproError(f"cannot open frozen snapshot {target}: {exc}") from exc
-    key = (str(target.resolve()), stat.st_size, stat.st_mtime_ns)
-    with _OPEN_LOCK:
-        snapshot = _OPEN_CACHE.get(key)
-        if snapshot is None:
-            snapshot = _OPEN_CACHE[key] = FrozenSnapshot(target)
-        return snapshot
+    return FrozenSnapshot(path)

@@ -27,17 +27,6 @@ and delegate to the copy-on-write incremental constructors; the partition
 materializes its frozen entries before re-keying).  Results after a mutation
 are therefore identical to mutating a JSON-loaded service — the frozen layer
 only changes *when* objects get built, never what they contain.
-
-Pickling (process executors)
-----------------------------
-View objects wrap ``memoryview``\\ s, which cannot travel between processes.
-While pristine (repository version 0, no removals) every frozen class reduces
-to a module-level reopen function carrying only the snapshot path: workers
-attach to one per-process mapping (:func:`repro.storage.format.open_frozen`)
-and share one lazily built repository/oracle pair per snapshot
-(``FrozenSnapshot.runtime``), so a pool task payload is a few hundred bytes.
-After a mutation the thawed plain structures pickle by copy exactly as their
-JSON-loaded counterparts do.
 """
 
 from __future__ import annotations
@@ -45,7 +34,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import (
     ClusteringError,
@@ -185,8 +174,7 @@ class _LazyRefList:
             yield self[name_id]
 
 
-#: Instance attributes holding mmap-backed state; deleted on thaw and popped
-#: from any pickled state (memoryviews cannot travel).
+#: Instance attributes holding mmap-backed state; deleted on thaw.
 _REPOSITORY_VIEW_ATTRS = (
     "_snapshot",
     "_tree_sizes",
@@ -202,18 +190,6 @@ _REPOSITORY_VIEW_ATTRS = (
     "_properties",
     "_frozen_summary",
 )
-
-_ORACLE_VIEW_ATTRS = (
-    "_snapshot",
-    "_tour_offsets",
-    "_euler_nodes",
-    "_euler_depths",
-    "_first_occurrence",
-    "_rmq_offsets",
-    "_rmq_values",
-)
-
-_PARTITION_VIEW_ATTRS = ("_snapshot", "_frag_offsets", "_member_offsets", "_members")
 
 
 class FrozenRepository(SchemaRepository):
@@ -317,7 +293,7 @@ class FrozenRepository(SchemaRepository):
         Already-materialized trees are reused (identity matters: installed
         oracles hold references into the lazy list), the mapped offset array
         is copied into a plain list, and every view attribute is dropped so
-        the thawed object pickles by copy like any other repository.
+        the thawed object no longer reads from the mapping.
         """
         self._trees = [self._trees[tree_id] for tree_id in range(len(self._trees))]
         self._offsets = [int(offset) for offset in self._offsets]
@@ -332,14 +308,6 @@ class FrozenRepository(SchemaRepository):
     def remove_tree(self, tree_id: int) -> SchemaTree:
         self._thaw()
         return SchemaRepository.remove_tree(self, tree_id)
-
-    # -- pickling (process executors) ----------------------------------------
-    # Only reachable while the class is still FrozenRepository (thaw switches
-    # the class, restoring the plain copy path): workers reopen the snapshot
-    # and share one repository per process instead of copying the forest.
-
-    def __reduce_ex__(self, protocol):
-        return (_reopen_frozen_repository, (self._snapshot.source_path,))
 
 
 class FrozenNameIndex(RepositoryNameIndex):
@@ -360,8 +328,6 @@ class FrozenNameIndex(RepositoryNameIndex):
     def __init__(self, snapshot: FrozenSnapshot, position: int) -> None:
         meta = snapshot.header["indexes"][position]
         prefix = f"index{position}"
-        self._snapshot = snapshot
-        self._position = position
         self.case_sensitive = bool(meta["case_sensitive"])
         self.version = next(_VERSION_COUNTER)
         self.repository_version = 0
@@ -522,14 +488,6 @@ class FrozenNameIndex(RepositoryNameIndex):
             repository, removed_tree_id, removed_node_count
         )
 
-    # -- pickling (process executors) ----------------------------------------
-    # Index instances are immutable snapshots, so the redirect is
-    # unconditional: workers reopen the mapped index (cached per snapshot and
-    # position) instead of copying the decoded tables.
-
-    def __reduce_ex__(self, protocol):
-        return (_reopen_frozen_index, (self._snapshot.source_path, self._position))
-
 
 class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
     """Per-tree distance oracles re-sliced from frozen tour/sparse segments.
@@ -544,7 +502,6 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
 
     def __init__(self, snapshot: FrozenSnapshot, repository: FrozenRepository) -> None:
         super().__init__(repository)
-        self._snapshot = snapshot
         self._tour_offsets = snapshot.int32("oracle/tour_offsets")
         self._euler_nodes = snapshot.int32("oracle/euler_nodes")
         self._euler_depths = snapshot.int32("oracle/euler_depths")
@@ -552,7 +509,6 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
         self._rmq_offsets = snapshot.int32("oracle/rmq_offsets")
         self._rmq_values = snapshot.int32("oracle/rmq_values")
         self._frozen_tree_count = int(snapshot.header["repository"]["tree_count"])
-        self._frozen_active = True
 
     def _decode_tree(self, tree_id: int) -> TreeDistanceOracle:
         start = self._tour_offsets[tree_id]
@@ -582,8 +538,7 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
         if cached is not None:
             return cached
         if (
-            self._frozen_active
-            and getattr(self.repository, "version", None) == 0
+            getattr(self.repository, "version", None) == 0
             and 0 <= tree_id < self._frozen_tree_count
         ):
             with self._build_lock:
@@ -593,22 +548,6 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
                     self._oracles[tree_id] = cached
             return cached
         return super().oracle(tree_id)
-
-    # -- pickling (process executors) ----------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        for attr in _ORACLE_VIEW_ATTRS:
-            state.pop(attr, None)
-        state["_frozen_active"] = False
-        return state
-
-    def __reduce_ex__(self, protocol):
-        # Reopen by path while the repository is pristine; otherwise the
-        # plain copy path (view attrs stripped by __getstate__ above).
-        if self._frozen_active and getattr(self.repository, "version", 0) == 0:
-            return (_reopen_frozen_oracle, (self._snapshot.source_path,))
-        return super().__reduce_ex__(protocol)
 
 
 class FrozenPartition(RepositoryPartition):
@@ -625,7 +564,6 @@ class FrozenPartition(RepositoryPartition):
         super().__init__(
             max_fragment_size=int(meta["max_fragment_size"]), reclustering=reclustering
         )
-        self._snapshot = snapshot
         self._frag_offsets = snapshot.int32("partition/fragment_offsets")
         self._member_offsets = snapshot.int32("partition/member_offsets")
         self._members = snapshot.int32("partition/members")
@@ -676,74 +614,6 @@ class FrozenPartition(RepositoryPartition):
                     self._decode_frozen_tree(tree_id)
         return super().to_payload()
 
-    # -- pickling (process executors) ----------------------------------------
-
-    def __getstate__(self) -> dict:
-        self._materialize_frozen()
-        state = self.__dict__.copy()
-        for attr in _PARTITION_VIEW_ATTRS:
-            state.pop(attr, None)
-        return state
-
-    def __reduce_ex__(self, protocol):
-        if self._frozen_active:
-            return (_reopen_frozen_partition, (self._snapshot.source_path, self.reclustering))
-        return super().__reduce_ex__(protocol)
-
-
-# -- worker reopen fast path ---------------------------------------------------
-
-
-def _frozen_runtime(path: str) -> Tuple[FrozenRepository, FrozenRepositoryDistanceOracle]:
-    """One lazily built (repository, oracle) pair per snapshot per process.
-
-    Every unpickled task against the same frozen file shares one attached
-    object graph — including the frozen name indexes, which are installed into
-    the repository's cache so a worker-side query never rescans names.  A
-    runtime whose repository has been thawed or mutated (possible only if user
-    code mutates an unpickled service) is discarded and rebuilt pristine.
-    """
-    snapshot = open_frozen(path)
-    positions = range(len(snapshot.header.get("indexes", [])))
-    # Resolve the index singletons *before* taking the runtime lock —
-    # cached_index takes the same (non-reentrant) lock.
-    indexes = [
-        snapshot.cached_index(position, lambda position=position: FrozenNameIndex(snapshot, position))
-        for position in positions
-    ]
-    with snapshot.lock:
-        runtime = snapshot.runtime
-        if (
-            runtime is None
-            or type(runtime[0]) is not FrozenRepository
-            or runtime[0].version != 0
-        ):
-            repository = FrozenRepository(snapshot)
-            for index in indexes:
-                repository.install_name_index(index)
-            oracle = FrozenRepositoryDistanceOracle(snapshot, repository)
-            runtime = snapshot.runtime = (repository, oracle)
-    return runtime
-
-
-def _reopen_frozen_repository(path: str) -> FrozenRepository:
-    return _frozen_runtime(path)[0]
-
-
-def _reopen_frozen_oracle(path: str) -> FrozenRepositoryDistanceOracle:
-    return _frozen_runtime(path)[1]
-
-
-def _reopen_frozen_index(path: str, position: int) -> FrozenNameIndex:
-    snapshot = open_frozen(path)
-    return snapshot.cached_index(
-        position, lambda: FrozenNameIndex(snapshot, position)
-    )
-
-
-def _reopen_frozen_partition(path: str, reclustering) -> FrozenPartition:
-    return FrozenPartition(open_frozen(path), reclustering=reclustering)
-
 
 # -- service assembly ----------------------------------------------------------
 
@@ -768,8 +638,10 @@ def load_frozen_service(
     which carrier a snapshot uses (``query_cache_size`` replaces the recorded
     result-cache capacity).
 
-    Each call builds a fresh object graph over the (shared, read-only) mapped
-    segments, so two loaded services never observe each other's thaws.
+    Given a path, each call maps the file anew and builds a fresh object
+    graph, so two loaded services never observe each other's thaws and a
+    replaced file is read at its current generation.  The mapping and its
+    file descriptor live as long as the service's views reference them.
     """
     from repro.service.service import MatchingService
     from repro.service.snapshot import _matcher_from_config

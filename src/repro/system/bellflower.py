@@ -155,17 +155,14 @@ class Bellflower(MatcherAPIMixin):
         and its own result object); when an ``executor`` is configured they
         are dispatched through it and gathered back *in cluster order*, so
         mappings, counters and reports are bit-identical to the serial path.
-        With an executor, ``elapsed_seconds`` remains the sum of per-cluster
-        search times (CPU time), which can exceed the wall-clock
-        ``generation`` stage timer.
+        ``elapsed_seconds`` is the sum of per-cluster search times.
 
         ``top_k`` restricts the search to the ``k`` best mappings overall: the
         per-cluster problems then share one
         :class:`~repro.mapping.engine.TopKPool` incumbent, so a good mapping
         found in any cluster raises the pruning floor for all of them.  The
-        returned *mappings* stay deterministic across executors (see
-        :mod:`repro.mapping.engine`); the pruning *counters* become
-        timing-dependent under concurrent executors.
+        returned *mappings* are independent of the order in which clusters
+        raised the floor (see :mod:`repro.mapping.engine`).
 
         ``shared_pool`` widens the incumbent sharing beyond this query: a
         caller coordinating several pipelines over one logical repository —

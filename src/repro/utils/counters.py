@@ -101,8 +101,3 @@ class ThreadSafeCounterSet(CounterSet):
     def __iter__(self) -> Iterator[Tuple[str, int]]:
         # Iterate over a locked snapshot for the same reason as as_dict().
         return iter(sorted(self.as_dict().items()))
-
-    def __reduce__(self):
-        # Locks do not pickle; a copy travelling to a worker process only
-        # needs the counts (mirrors LRUMemo's pickling contract).
-        return (type(self), (self.as_dict(),))

@@ -64,6 +64,6 @@ class TestFormats:
         code = main(["--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for rule in ("RPA001", "RPA002", "RPA003", "RPA004", "RPA005", "RPA006"):
+        for rule in ("RPA001", "RPA002", "RPA004", "RPA005", "RPA006"):
             assert rule in out
         assert "scope:" in out

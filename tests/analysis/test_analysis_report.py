@@ -22,13 +22,13 @@ def _sample_report():
     ]
     suppressed = [
         (
-            Finding(rule="RPA003", path="src/repro/z.py", line=7, col=1, message="closure"),
-            "in-process by contract",
+            Finding(rule="RPA004", path="src/repro/z.py", line=7, col=1, message="blocking call"),
+            "runs before the loop starts",
         )
     ]
     return Report(
         root="/repo",
-        rules=["RPA001", "RPA002", "RPA003"],
+        rules=["RPA001", "RPA002", "RPA004"],
         files_checked=42,
         findings=findings,
         suppressed=suppressed,
@@ -50,7 +50,7 @@ class TestReport:
         assert "src/repro/x.py:10:5: RPA001: wall-clock read `time.time`" in text
         assert "hint: use time.monotonic" in text
         assert "1 suppressed finding(s):" in text
-        assert "RPA003 allowed — in-process by contract" in text
+        assert "RPA004 allowed — runs before the loop starts" in text
         assert "checked 42 file(s)" in text
         assert "2 finding(s)" in text
 

@@ -1,8 +1,5 @@
 """Golden fixture tests: each rule against its positive and negative fixtures."""
 
-from repro.analysis.rules import PICKLE_BOUNDARY_ALLOWLIST
-from repro.analysis.rules.pickle_boundary import PickleBoundaryChecker
-
 
 def _by_file(report, suffix):
     return [f for f in report.findings if f.path.endswith(suffix)]
@@ -48,51 +45,6 @@ class TestHashOrderRPA002:
         report = run_fixture("rpa002", rules=("RPA002",))
         assert _by_file(report, "good_order.py") == []
         assert _by_file(report, "out_of_scope.py") == []
-
-
-class TestPickleBoundaryRPA003:
-    def test_positive_fixture_flags_hooks_and_unpicklable_callables(self, run_fixture):
-        report = run_fixture("rpa003", rules=("RPA003",))
-        bad = _by_file(report, "bad_hooks.py")
-        messages = "\n".join(_messages(bad))
-        assert "UnauditedState customizes pickling (__getstate__)" in messages
-        assert "lambda passed to `executor.map`" in messages
-        assert "closure `work` passed to `executor.map`" in messages
-        # module-level functions pickle fine and must not be flagged
-        assert "fan_out" not in "".join(
-            m for m in _messages(bad) if "closure" in m or "lambda" in m
-        )
-
-    def test_scoped_run_does_not_call_real_allowlist_entries_stale(self, run_fixture):
-        report = run_fixture("rpa003", rules=("RPA003",))
-        assert not any("stale allowlist entry" in m for m in _messages(report.findings))
-
-    def test_allowlist_liveness_against_custom_allowlist(self, run_fixture):
-        allowlist = {
-            "repro.boundary.AuditedPayload": {"hooks": False, "why": "audited payload"},
-            "repro.boundary.ClaimsHooks": {"hooks": True, "why": "claims hooks"},
-            "repro.boundary.Vanished": {"hooks": True, "why": "no longer exists"},
-        }
-        report = run_fixture(
-            "rpa003",
-            rules=("RPA003",),
-            checkers=[PickleBoundaryChecker(allowlist=allowlist)],
-        )
-        messages = "\n".join(_messages(report.findings))
-        assert "stale allowlist entry: class repro.boundary.Vanished" in messages
-        assert (
-            "repro.boundary.ClaimsHooks is allowlisted as defining pickle hooks "
-            "but defines none" in messages
-        )
-        assert (
-            "repro.boundary.AuditedPayload is audited for default pickling but now "
-            "defines __reduce__" in messages
-        )
-
-    def test_shipped_allowlist_entries_all_justified(self):
-        for dotted, entry in PICKLE_BOUNDARY_ALLOWLIST.items():
-            assert isinstance(entry["hooks"], bool), dotted
-            assert entry["why"].strip(), f"{dotted} has no audit rationale"
 
 
 class TestAsyncHygieneRPA004:

@@ -75,20 +75,6 @@ def test_packed_table_is_cached_and_survives_reuse(small_repository):
     assert first is second  # built once, reused
 
 
-def test_packed_table_not_pickled_with_index(small_repository):
-    import pickle
-
-    matcher = FuzzyNameMatcher()
-    index = matcher.name_index(small_repository)
-    assert index.packed_name_table() is not None
-    clone = pickle.loads(pickle.dumps(index))
-    # the clone rebuilds its own table lazily rather than shipping arrays
-    assert "_packed_names" not in clone.__dict__ or clone.__dict__["_packed_names"] is None
-    rebuilt = clone.packed_name_table()
-    assert rebuilt is not None
-    assert list(rebuilt.lengths) == list(index.packed_name_table().lengths)
-
-
 def test_kernel_skips_tiny_repositories_gracefully(small_repository):
     # The small fixture's unique-name count per query is usually under
     # MIN_BATCH_SIZE, so this mostly exercises the decline -> scalar path;

@@ -6,7 +6,6 @@ outputs transitively)."""
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -63,17 +62,6 @@ class TestTopKPool:
         for thread in threads:
             thread.join()
         assert pool.floor() == scores[-5]
-
-    def test_pickle_round_trip_snapshots_scores(self):
-        pool = TopKPool(2)
-        pool.offer(0.8)
-        pool.offer(0.6)
-        copy = pickle.loads(pickle.dumps(pool))
-        assert copy.floor() == pool.floor() == 0.6
-        # The copy is independent (per-worker semantics under process pools).
-        copy.offer(0.9)
-        assert copy.floor() == 0.8
-        assert pool.floor() == 0.6
 
     def test_duplicate_signatures_count_once(self):
         """The same mapping found in overlapping clusters must not inflate the floor."""

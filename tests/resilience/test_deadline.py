@@ -1,8 +1,6 @@
-"""Deadline semantics: injectable clock, expiry, pickling re-anchoring."""
+"""Deadline semantics: injectable clock, expiry."""
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -34,17 +32,3 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline.after_ms(bad)
 
-    def test_pickling_preserves_the_remaining_budget(self):
-        # Monotonic readings are process-local; a pickled deadline must travel
-        # as a duration and re-anchor on the receiver's clock.
-        deadline = Deadline.after_ms(60_000)
-        clone = pickle.loads(pickle.dumps(deadline))
-        assert not clone.expired()
-        assert clone.remaining() == pytest.approx(60.0, abs=1.0)
-
-    def test_pickled_expired_deadline_stays_expired(self):
-        clock = TickingClock()
-        deadline = Deadline.after_ms(10, clock)
-        clock.now = 5.0
-        clone = pickle.loads(pickle.dumps(deadline))
-        assert clone.expired()

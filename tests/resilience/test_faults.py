@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import InjectedFaultError
 from repro.resilience import ChaosExecutor, FaultInjector, FaultPlan, FaultSpec, load_fault_plan
-from repro.utils.executor import SerialExecutor, ThreadPoolTaskExecutor
+from repro.utils.executor import SerialExecutor, TaskExecutor
 
 
 class TestFaultSpecSelectors:
@@ -172,11 +172,36 @@ class TestChaosExecutor:
         with pytest.raises(InjectedFaultError):
             executor.map(lambda x: x, ["a", "b"])
 
-    def test_wraps_thread_executors(self):
-        plan = FaultPlan(specs=(FaultSpec(key="task-2", kind="delay", delay_ms=1.0),))
-        inner = ThreadPoolTaskExecutor(max_workers=2)
-        try:
-            executor = ChaosExecutor(inner, FaultInjector(plan, sleep=lambda _s: None))
-            assert executor.map(lambda x: x + 1, list(range(8))) == list(range(1, 9))
-        finally:
-            inner.close()
+    def test_wraps_any_task_executor(self):
+        # Keys follow each item's input position, not the order the inner
+        # executor happens to run the tasks in.
+        class Reversing(TaskExecutor):
+            name = "reversing"
+
+            def map(self, fn, items):
+                return list(reversed([fn(item) for item in reversed(items)]))
+
+        plan = FaultPlan(specs=(FaultSpec(key="task-2", kind="error", message="third"),))
+        executor = ChaosExecutor(Reversing(), FaultInjector(plan))
+        assert executor.map(lambda x: x + 1, [0, 1]) == [1, 2]
+        with pytest.raises(InjectedFaultError, match=r"third \(key=task-2\)"):
+            executor.map(lambda x: x + 1, list(range(8)))
+
+    def test_call_counters_carry_across_map_calls(self):
+        plan = FaultPlan(specs=(FaultSpec(key="task-0", kind="error", calls=[1]),))
+        executor = ChaosExecutor(SerialExecutor(), FaultInjector(plan))
+        assert executor.map(lambda x: x, ["a"]) == ["a"]  # task-0#0
+        with pytest.raises(InjectedFaultError):
+            executor.map(lambda x: x, ["b"])  # task-0#1
+        assert executor.map(lambda x: x, ["c"]) == ["c"]  # task-0#2
+
+    def test_close_closes_the_wrapped_executor(self):
+        closed = []
+
+        class Closing(SerialExecutor):
+            def close(self):
+                closed.append(True)
+
+        with ChaosExecutor(Closing(), FaultInjector(FaultPlan(specs=()))) as executor:
+            assert executor.map(lambda x: x, [1]) == [1]
+        assert closed == [True]

@@ -53,17 +53,3 @@ def counters_key(result):
     """The result's counter set as a sorted, comparable tuple."""
     return tuple(sorted(result.counters.as_dict().items()))
 
-
-def execution_backends(max_workers=2):
-    """The three execution regimes every service query must agree across.
-
-    Yields ``(name, executor_factory)`` pairs; ``executor`` is ``None`` for
-    the serial regime.
-    """
-    from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
-
-    return [
-        ("serial", lambda: None),
-        ("thread", lambda: ThreadPoolTaskExecutor(max_workers=max_workers)),
-        ("process", lambda: ProcessPoolTaskExecutor(max_workers=max_workers)),
-    ]

@@ -17,7 +17,7 @@ from repro.service import (
     RepositoryPartition,
     schema_fingerprint,
 )
-from repro.utils.executor import SerialExecutor, ThreadPoolTaskExecutor
+from repro.utils.executor import SerialExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
@@ -289,25 +289,21 @@ class TestTopKQueries:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize(
-        "executor", [None, SerialExecutor(), ThreadPoolTaskExecutor(4)], ids=["inline", "serial", "threads"]
-    )
+    @pytest.mark.parametrize("executor", [None, SerialExecutor()], ids=["inline", "serial"])
     def test_all_executors_produce_identical_results(self, service_repository, executor):
         service = MatchingService(service_repository, element_threshold=0.5, executor=executor)
         reference = MatchingService(service_repository, element_threshold=0.5)
         for schema in (paper_personal_schema(), contact_personal_schema()):
             assert result_key(service.match(schema)) == result_key(reference.match(schema))
-        if isinstance(executor, ThreadPoolTaskExecutor):
-            executor.close()
 
-    def test_threaded_kmeans_variant_matches_serial(self, service_repository):
-        with ThreadPoolTaskExecutor(4) as executor:
-            threaded = MatchingService(
+    def test_kmeans_variant_through_an_executor_matches_inline(self, service_repository):
+        with SerialExecutor() as executor:
+            routed = MatchingService(
                 service_repository, variant="medium", element_threshold=0.5, executor=executor
             )
-            serial = MatchingService(service_repository, variant="medium", element_threshold=0.5)
-            assert result_key(threaded.match(paper_personal_schema())) == result_key(
-                serial.match(paper_personal_schema())
+            inline = MatchingService(service_repository, variant="medium", element_threshold=0.5)
+            assert result_key(routed.match(paper_personal_schema())) == result_key(
+                inline.match(paper_personal_schema())
             )
 
 

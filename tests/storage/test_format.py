@@ -93,7 +93,7 @@ class TestSegmentWriter:
         assert header["format"] == FROZEN_FORMAT
         assert header["version"] == FROZEN_VERSION
 
-        snapshot = open_frozen(target, cached=False)
+        snapshot = open_frozen(target)
         assert snapshot.header["repository"]["name"] == "sample"
         assert snapshot.segment_names() == ["forest/parents", "forest/kinds", "names/blob"]
         assert list(snapshot.int32("forest/parents")) == [-1, 0, 0, 1, -5, 2_000_000_000]
@@ -103,7 +103,7 @@ class TestSegmentWriter:
     def test_segment_offsets_are_eight_byte_aligned(self, tmp_path):
         target = tmp_path / "sample.frozen"
         write_sample(target)
-        snapshot = open_frozen(target, cached=False)
+        snapshot = open_frozen(target)
         assert snapshot.data_start % 8 == 0
         for entry in snapshot.header["segments"]:
             assert entry["offset"] % 8 == 0
@@ -117,7 +117,7 @@ class TestSegmentWriter:
     def test_kind_mismatch_is_rejected_at_read(self, tmp_path):
         target = tmp_path / "sample.frozen"
         write_sample(target)
-        snapshot = open_frozen(target, cached=False)
+        snapshot = open_frozen(target)
         with pytest.raises(ReproError, match="not int32"):
             snapshot.int32("names/blob")
         with pytest.raises(ReproError, match="not int8"):
@@ -127,7 +127,7 @@ class TestSegmentWriter:
         target = tmp_path / "sample.frozen"
         write_sample(target)
         with pytest.raises(ReproError, match="no segment"):
-            open_frozen(target, cached=False).int32("forest/missing")
+            open_frozen(target).int32("forest/missing")
 
 
 class TestOpenValidation:
@@ -135,23 +135,23 @@ class TestOpenValidation:
         target = tmp_path / "doc.json"
         target.write_bytes(b'{"format": "bellflower-service-snapshot"}')
         with pytest.raises(ReproError, match="bad magic"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_file_shorter_than_the_preamble_is_rejected(self, tmp_path):
         target = tmp_path / "stub.frozen"
         target.write_bytes(FROZEN_MAGIC[:4])
         with pytest.raises(ReproError, match="shorter than the preamble"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_missing_file_is_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="cannot open"):
-            open_frozen(tmp_path / "absent.frozen", cached=False)
+            open_frozen(tmp_path / "absent.frozen")
 
     def test_truncation_at_any_structural_point_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
         write_sample(target)
         image = target.read_bytes()
-        snapshot = open_frozen(target, cached=False)
+        snapshot = open_frozen(target)
         last_byte = snapshot.data_start + max(
             entry["offset"] + entry["length"] for entry in snapshot.header["segments"]
         )
@@ -166,7 +166,7 @@ class TestOpenValidation:
             torn = tmp_path / f"torn-{cut}.frozen"
             torn.write_bytes(image[:cut])
             with pytest.raises(ReproError):
-                open_frozen(torn, cached=False)
+                open_frozen(torn)
 
     def test_corrupt_magic_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
@@ -175,7 +175,7 @@ class TestOpenValidation:
         image[0] ^= 0xFF
         target.write_bytes(bytes(image))
         with pytest.raises(ReproError, match="bad magic"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_unsupported_container_version_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
@@ -184,7 +184,7 @@ class TestOpenValidation:
         struct.pack_into("<I", image, 8, FROZEN_VERSION + 1)
         target.write_bytes(bytes(image))
         with pytest.raises(ReproError, match="container version"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_garbage_header_bytes_are_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
@@ -194,7 +194,7 @@ class TestOpenValidation:
         image[PREAMBLE.size : PREAMBLE.size + header_length] = b"\xff" * header_length
         target.write_bytes(bytes(image))
         with pytest.raises(ReproError, match="corrupt header"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_foreign_document_format_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
@@ -205,7 +205,7 @@ class TestOpenValidation:
 
         rewrite_header(target, mutate)
         with pytest.raises(ReproError, match="not a frozen service snapshot"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_future_document_version_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
@@ -216,7 +216,7 @@ class TestOpenValidation:
 
         rewrite_header(target, mutate)
         with pytest.raises(ReproError, match="snapshot version"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_missing_segment_table_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
@@ -227,7 +227,7 @@ class TestOpenValidation:
 
         rewrite_header(target, mutate)
         with pytest.raises(ReproError, match="no segment table"):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -248,28 +248,14 @@ class TestOpenValidation:
 
         rewrite_header(target, mutate)
         with pytest.raises(ReproError, match=message):
-            open_frozen(target, cached=False)
+            open_frozen(target)
 
     def test_header_that_is_not_json_object_is_rejected(self, tmp_path):
         target = tmp_path / "sample.frozen"
         write_sample(target)
         rewrite_header(target, raw_header=b"[1, 2, 3]")
         with pytest.raises(ReproError, match="not a frozen service snapshot"):
-            open_frozen(target, cached=False)
-
-
-class TestOpenCache:
-    def test_cached_open_returns_one_mapping_per_generation(self, tmp_path):
-        target = tmp_path / "sample.frozen"
-        write_sample(target)
-        first = open_frozen(target)
-        assert open_frozen(target) is first
-        # A rewrite is an atomic rename → new (size, mtime) → a fresh mapping.
-        writer = SegmentWriter()
-        writer.add_int32("forest/parents", [-1])
-        writer.write(target, {"repository": {"name": "next", "trees": 1, "nodes": 1}})
-        os.utime(target, ns=(1, 1))
-        assert open_frozen(target) is not first
+            open_frozen(target)
 
 
 class TestSniffing:

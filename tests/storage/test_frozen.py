@@ -3,21 +3,18 @@
 The frozen carrier is pure acceleration — any divergence from the JSON path
 would silently corrupt match results rather than crash.  Every test therefore
 pins exact equality (rankings, path evidence, counters, cluster reports)
-between a frozen-loaded service and its JSON-loaded twin, across every
-execution regime and process-pool shape, through mutation (thaw), compaction,
-and sharding.  It is also the carrier process workers reach repository state
-through: frozen parts pickle to a path reopen instead of a copy.
+between a frozen-loaded service and its JSON-loaded twin, through mutation
+(thaw), compaction, sharding and load-time overrides.  Each load maps the
+file as it is at that moment and releases the mapping with the service.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
+import gc
 import os
-import pickle
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -28,15 +25,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "service"))
 from _equivalence import (  # noqa: E402
     cluster_key,
     counters_key,
-    execution_backends,
     path_records_key,
     result_key,
 )
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ShardError
 from repro.mapping.branch_and_bound import BranchAndBoundGenerator
 from repro.matchers.name import FuzzyNameMatcher
 from repro.objective.bellflower import BellflowerObjective
+from repro.schema.builder import TreeBuilder
 from repro.schema.repository import SchemaRepository
 from repro.service import MatchingService, load_snapshot, write_snapshot
 from repro.shard import (
@@ -55,7 +52,6 @@ from repro.storage import (
     load_frozen_service,
     open_frozen,
 )
-from repro.utils.executor import ProcessPoolTaskExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
@@ -93,17 +89,12 @@ def mutate(service, kind):
 
 
 class PathHeavyObjective(BellflowerObjective):
-    """A user-defined objective; module-level so workers unpickle it by reference."""
+    """A user-defined objective subclass."""
 
     name = "path-heavy"
 
     def __init__(self) -> None:
         super().__init__(alpha=0.2, path_normalization=2.0)
-
-
-def _reopen_and_crash(blob):  # pragma: no cover - runs in a worker process
-    pickle.loads(blob)
-    os._exit(1)
 
 
 @pytest.fixture(scope="module")
@@ -149,34 +140,10 @@ class TestFrozenLoadEquivalence:
             assert [n.name for n in frozen_tree.nodes()] == [n.name for n in plain_tree.nodes()]
             assert [n.kind for n in frozen_tree.nodes()] == [n.kind for n in plain_tree.nodes()]
 
-    @pytest.mark.parametrize(
-        "backend", list(execution_backends()), ids=lambda backend: backend[0]
-    )
-    def test_match_bit_identical_across_backends(self, snapshot_pair, reference_keys, backend):
-        _, factory = backend
-        executor = factory()
-        service = load_frozen_service(snapshot_pair / "snap.frozen", executor=executor)
-        try:
-            assert full_key(service.match(paper_personal_schema())) == reference_keys["paper"]
-            assert full_key(service.match(contact_personal_schema())) == reference_keys["contact"]
-        finally:
-            if executor is not None:
-                executor.close()
-
-    # Two workers with one task each is the "process" backend above.
-    @pytest.mark.parametrize(
-        "workers, tasks_per_worker", [(1, 1), (4, 1), (2, 3)], ids=["w1", "w4", "w2-chunks3"]
-    )
-    def test_process_results_independent_of_pool_shape(
-        self, snapshot_pair, reference_keys, workers, tasks_per_worker
-    ):
-        executor = ProcessPoolTaskExecutor(workers, tasks_per_worker=tasks_per_worker)
-        service = load_snapshot(snapshot_pair / "snap.frozen", executor=executor)
-        try:
-            assert full_key(service.match(paper_personal_schema())) == reference_keys["paper"]
-            assert full_key(service.match(contact_personal_schema())) == reference_keys["contact"]
-        finally:
-            executor.close()
+    def test_match_bit_identical_to_the_json_load(self, snapshot_pair, reference_keys):
+        service = load_frozen_service(snapshot_pair / "snap.frozen")
+        assert full_key(service.match(paper_personal_schema())) == reference_keys["paper"]
+        assert full_key(service.match(contact_personal_schema())) == reference_keys["contact"]
 
     def test_repeated_queries_reuse_the_frozen_views(self, snapshot_pair, reference_keys):
         service = load_snapshot(snapshot_pair / "snap.frozen")
@@ -206,7 +173,7 @@ class TestFreezeSnapshotFile:
             freeze_snapshot_file(snapshot_pair / "snap.frozen", tmp_path / "twice.frozen")
 
     def test_inspectable_header_matches_the_repository(self, snapshot_pair):
-        snapshot = open_frozen(snapshot_pair / "snap.frozen", cached=False)
+        snapshot = open_frozen(snapshot_pair / "snap.frozen")
         repository = load_snapshot(snapshot_pair / "snap.json").repository
         assert snapshot.header["repository"]["tree_count"] == repository.tree_count
         assert snapshot.header["repository"]["node_count"] == repository.node_count
@@ -234,37 +201,14 @@ class TestMutationThaw:
             assert full_key(frozen_service.match(schema)) == full_key(json_service.match(schema))
 
     @pytest.mark.parametrize("kind", ["add", "remove"])
-    def test_thawed_oracle_pickles_by_copy(self, frozen_file, kind):
-        service = load_snapshot(frozen_file)
-        reopen_size = len(pickle.dumps(service.oracle))
-        mutate(service, kind)
-        blob = pickle.dumps(service.oracle)
-        assert b"_reopen_frozen_oracle" not in blob
-        assert b"_reopen_frozen_repository" not in blob
-        assert len(blob) > 10 * reopen_size
-        copied = pickle.loads(blob)
-        assert type(copied.repository) is SchemaRepository
-        assert [tree.name for tree in copied.repository.trees()] == [
-            tree.name for tree in service.repository.trees()
-        ]
-
-    @pytest.mark.parametrize("kind", ["add", "remove"])
-    def test_process_workers_answer_a_thawed_service_like_its_json_twin(
-        self, snapshot_pair, kind
-    ):
+    def test_a_thawed_service_answers_like_its_json_twin(self, snapshot_pair, kind):
         json_service = load_snapshot(snapshot_pair / "snap.json")
-        executor = ProcessPoolTaskExecutor(2)
-        frozen_service = load_snapshot(snapshot_pair / "snap.frozen", executor=executor)
-        try:
-            for service in (json_service, frozen_service):
-                mutate(service, kind)
-            schema = paper_personal_schema()
+        frozen_service = load_snapshot(snapshot_pair / "snap.frozen")
+        for service in (json_service, frozen_service):
+            mutate(service, kind)
+        assert type(frozen_service.repository) is SchemaRepository
+        for schema in (paper_personal_schema(), contact_personal_schema()):
             assert full_key(frozen_service.match(schema)) == full_key(json_service.match(schema))
-            assert executor.last_chunk_sizes, "the query never reached the workers"
-            schema = contact_personal_schema()
-            assert full_key(frozen_service.match(schema)) == full_key(json_service.match(schema))
-        finally:
-            executor.close()
 
 
 class TestCompaction:
@@ -296,8 +240,8 @@ class TestCompaction:
     def test_pure_copy_compaction_preserves_the_digest(self, snapshot_pair, tmp_path):
         target = tmp_path / "copy.frozen"
         compact_frozen(snapshot_pair / "snap.frozen", target)
-        source = open_frozen(snapshot_pair / "snap.frozen", cached=False)
-        copied = open_frozen(target, cached=False)
+        source = open_frozen(snapshot_pair / "snap.frozen")
+        copied = open_frozen(target)
         assert copied.header["repository"]["digest"] == source.header["repository"]["digest"]
         assert copied.header["repository"]["node_count"] == source.header["repository"]["node_count"]
 
@@ -339,95 +283,48 @@ class TestFrozenShardSet:
         for schema in (paper_personal_schema(), contact_personal_schema()):
             assert loaded.match(schema).ranking_key() == service.match(schema).ranking_key()
 
-    def test_process_fan_out_repeats_a_query_identically(self, shard_sets):
+    def test_uncached_fan_out_repeats_a_query_identically(self, shard_sets):
         _, target = shard_sets
         schema = paper_personal_schema()
         expected = load_shard_set(target / "json" / "manifest.json").match(schema)
-        executor = ProcessPoolTaskExecutor(2)
-        try:
-            # No result cache: the second answer takes the fan-out again.
-            loaded = load_shard_set(
-                target / "frozen" / "manifest.json", executor=executor, query_cache_size=0
-            )
-            for _ in range(2):
-                result = loaded.match(schema)
-                assert result_key(result) == result_key(expected)
-                assert path_records_key(result) == path_records_key(expected)
-            assert executor.last_chunk_sizes, "the fan-out never reached the workers"
-        finally:
-            executor.close()
+        # No result cache: the second answer takes the fan-out again.
+        loaded = load_shard_set(target / "frozen" / "manifest.json", query_cache_size=0)
+        for _ in range(2):
+            result = loaded.match(schema)
+            assert result_key(result) == result_key(expected)
+            assert path_records_key(result) == path_records_key(expected)
 
-    def test_process_fan_out_matches_the_json_shard_set(self, shard_sets):
-        # Fresh sets per query: a serial shard keeps its name memo from one
-        # query to the next, while every process task unpickles a shard with
-        # an empty memo, so only first-query counters are comparable.
+    def test_fan_out_matches_the_json_shard_set(self, shard_sets):
+        # Fresh sets per query: a shard keeps its name memo from one query to
+        # the next, so counters compare only between equally warm sets.
         _, target = shard_sets
-        executor = ProcessPoolTaskExecutor(2)
-        try:
-            for schema in (paper_personal_schema(), contact_personal_schema()):
-                expected = load_shard_set(target / "json" / "manifest.json").match(schema)
-                loaded = load_shard_set(target / "frozen" / "manifest.json", executor=executor)
-                result = loaded.match(schema)
-                assert result_key(result) == result_key(expected)
-                assert path_records_key(result) == path_records_key(expected)
-                assert counters_key(result) == counters_key(expected)
-        finally:
-            executor.close()
-
-
-class TestProcessPayloads:
-    """What a process worker receives: a path to reopen, never a copy."""
-
-    def test_frozen_oracle_pickles_to_a_path_reopen(self, tmp_path):
-        # Large enough that the JSON twin's copied repository passes 100 KB.
-        service = make_service(seed=5, nodes=2500)
-        write_snapshot(service, tmp_path / "snap.json")
-        freeze_service(service, tmp_path / "snap.frozen")
-        frozen = load_snapshot(tmp_path / "snap.frozen")
-        plain = load_snapshot(tmp_path / "snap.json")
-        assert len(pickle.dumps(frozen.oracle)) <= 256
-        assert len(pickle.dumps(plain.oracle)) > 100_000
-
-    def test_frozen_shard_service_pickles_small(self, shard_sets):
-        _, target = shard_sets
-        loaded = load_shard_set(target / "frozen" / "manifest.json")
-        loaded.match(paper_personal_schema())
-        for shard in loaded.shards:
-            assert len(pickle.dumps(shard)) <= 2048
-
-    def test_reopened_oracle_answers_like_the_original(self, frozen_file):
-        service = load_snapshot(frozen_file)
-        reopened = pickle.loads(pickle.dumps(service.oracle))
-        repository = service.repository
-        for tree_id in (0, repository.tree_count // 2, repository.tree_count - 1):
-            root = repository.ref(tree_id, 0)
-            for local_id in range(repository.tree(tree_id).node_count):
-                node = repository.ref(tree_id, local_id)
-                assert reopened.distance(root, node) == service.oracle.distance(root, node)
-
-    def test_reopened_service_answers_like_the_loaded_one(self, frozen_file):
-        service = load_snapshot(frozen_file)
-        reopened = pickle.loads(pickle.dumps(service))
-        assert type(reopened.repository) is FrozenRepository
         for schema in (paper_personal_schema(), contact_personal_schema()):
-            assert full_key(reopened.match(schema)) == full_key(service.match(schema))
+            expected = load_shard_set(target / "json" / "manifest.json").match(schema)
+            result = load_shard_set(target / "frozen" / "manifest.json").match(schema)
+            assert result_key(result) == result_key(expected)
+            assert path_records_key(result) == path_records_key(expected)
+            assert counters_key(result) == counters_key(expected)
 
-    def test_reopens_share_one_runtime_per_process(self, frozen_file):
-        service = load_snapshot(frozen_file)
-        oracle_blob = pickle.dumps(service.oracle)
-        repository_blob = pickle.dumps(service.repository)
-        oracle = pickle.loads(oracle_blob)
-        assert pickle.loads(oracle_blob) is oracle
-        assert pickle.loads(repository_blob) is oracle.repository
-        assert open_frozen(frozen_file) is open_frozen(frozen_file)
 
-    def test_reopening_a_deleted_snapshot_raises(self, frozen_file):
+def _one_tree_service(title: str) -> MatchingService:
+    repository = SchemaRepository(name="one-tree")
+    repository.add_tree(TreeBuilder.from_nested({"book": [title, "author"]}, name="library"))
+    return MatchingService(repository, element_threshold=0.5, query_cache_size=0)
+
+
+def _open_fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestOpenGenerations:
+    """Each load maps the file as it is now and lets go of it with the service."""
+
+    def test_loading_a_deleted_snapshot_raises(self, frozen_file):
         service = load_snapshot(frozen_file, query_cache_size=0)
         before = service.match(paper_personal_schema())
-        blob = pickle.dumps(service.oracle)
         frozen_file.unlink()
         with pytest.raises(ReproError, match="cannot open frozen snapshot"):
-            pickle.loads(blob)
+            load_frozen_service(frozen_file)
         # The loaded service keeps its own mapping of the unlinked file.
         after = service.match(paper_personal_schema())
         assert (result_key(after), path_records_key(after)) == (
@@ -449,29 +346,108 @@ class TestProcessPayloads:
             path_records_key(before),
         )
 
+    def test_a_same_size_replacement_with_an_old_mtime_is_read_anew(self, tmp_path):
+        # cp -p, rsync -t and reproducible builds restore the old mtime; a
+        # replacement of equal size must still be read at its new contents.
+        target = tmp_path / "snap.frozen"
+        freeze_service(_one_tree_service("title"), target)
+        first = load_snapshot(target)
+        assert first.repository.tree(0).node(1).name == "title"
+        stat = target.stat()
+        freeze_service(_one_tree_service("tytle"), target)
+        assert target.stat().st_size == stat.st_size
+        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert load_snapshot(target).repository.tree(0).node(1).name == "tytle"
+        assert first.repository.tree(0).node(1).name == "title"
 
-class TestWorkerCrash:
-    def test_crashed_workers_leave_the_snapshot_serving(self, frozen_file):
-        digest = hashlib.sha256(frozen_file.read_bytes()).hexdigest()
-        service = load_snapshot(frozen_file)
-        baseline = full_key(service.match(paper_personal_schema()))
-        blob = pickle.dumps(service)
-        executor = ProcessPoolTaskExecutor(2)
-        try:
-            with pytest.raises(BrokenProcessPool):
-                executor.map(_reopen_and_crash, [blob, blob])
-            executor.close()
-            assert hashlib.sha256(frozen_file.read_bytes()).hexdigest() == digest
-            # close() discards the broken pool; the next query starts a new one.
-            survivor = load_snapshot(frozen_file, executor=executor)
-            assert full_key(survivor.match(paper_personal_schema())) == baseline
-            assert executor.last_chunk_sizes, "the query never reached the workers"
-        finally:
-            executor.close()
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_services_release_their_file_descriptors(self, tmp_path):
+        paths = []
+        for index in range(12):
+            paths.append(tmp_path / f"snap-{index}.frozen")
+            freeze_service(_one_tree_service("title"), paths[-1])
+        gc.collect()
+        baseline = _open_fd_count()
+        for path in paths:
+            service = load_snapshot(path)
+            assert service.match(TreeBuilder.from_nested({"book": ["title"]})).mappings
+            del service
+        gc.collect()
+        assert _open_fd_count() == baseline
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_snapshots_and_compactions_release_their_file_descriptors(self, tmp_path):
+        source = tmp_path / "snap.frozen"
+        freeze_service(_one_tree_service("title"), source)
+        gc.collect()
+        baseline = _open_fd_count()
+        for index in range(6):
+            assert open_frozen(source).header["repository"]["tree_count"] == 1
+            compact_frozen(source, tmp_path / f"gen-{index}.frozen")
+        gc.collect()
+        assert _open_fd_count() == baseline
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_shard_sets_release_their_file_descriptors(self, shard_sets):
+        _, target = shard_sets
+        gc.collect()
+        baseline = _open_fd_count()
+        for _ in range(4):
+            loaded = load_shard_set(target / "frozen" / "manifest.json")
+            assert loaded.match(paper_personal_schema()).mappings
+            del loaded
+        gc.collect()
+        assert _open_fd_count() == baseline
+
+    def test_a_same_size_shard_replacement_fails_the_manifest_digest(self, tmp_path):
+        # A long-lived process reloads its shard set after shard 0's file was
+        # replaced (same size, old mtime restored): the manifest's digest
+        # check must see the new contents, not the mapping of the old ones.
+        def write_set(title, target):
+            repository = SchemaRepository(name="three-trees")
+            for name, spec in (
+                ("library", {"book": [title, "author"]}),
+                ("people", {"person": ["name", "email"]}),
+                ("orders", {"order": ["item", "price"]}),
+            ):
+                repository.add_tree(TreeBuilder.from_nested(spec, name=name))
+            service = ShardedMatchingService.from_repository(
+                repository, 3, router=RoundRobinRouter(), element_threshold=0.5
+            )
+            write_shard_set(service, target, frozen=True)
+            return target / "manifest.json"
+
+        manifest = write_set("title", tmp_path / "live")
+        other = write_set("tytle", tmp_path / "other")
+        assert load_shard_set(manifest).shard_count == 3
+        entry = load_manifest(manifest)["shards"][0]["path"]
+        shard_file, replacement = manifest.parent / entry, other.parent / entry
+        stat = shard_file.stat()
+        assert replacement.stat().st_size == stat.st_size
+        os.replace(replacement, shard_file)
+        os.utime(shard_file, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        with pytest.raises(ShardError, match="digest"):
+            load_shard_set(manifest)
+
+    def test_two_loads_of_one_file_never_share_a_thaw(self, frozen_file):
+        thawed = load_snapshot(frozen_file, query_cache_size=0)
+        untouched = load_snapshot(frozen_file, query_cache_size=0)
+        before = untouched.match(paper_personal_schema())
+        tree_count = untouched.repository.tree_count
+        mutate(thawed, "add")
+        assert type(thawed.repository) is SchemaRepository
+        assert type(untouched.repository) is FrozenRepository
+        assert untouched.repository.tree_count == tree_count
+        # Counters differ between a cold and a warm query; the answer may not.
+        after = untouched.match(paper_personal_schema())
+        assert (result_key(after), path_records_key(after)) == (
+            result_key(before),
+            path_records_key(before),
+        )
 
 
-class TestWorkerOverrides:
-    """Load-time overrides travel to the workers by value, not as defaults."""
+class TestLoadOverrides:
+    """Load-time overrides replace what the frozen header records."""
 
     @pytest.mark.parametrize(
         "component, factory",
@@ -482,23 +458,18 @@ class TestWorkerOverrides:
         ],
         ids=["objective-alpha", "objective-subclass", "generator-unbounded"],
     )
-    def test_process_results_follow_the_override(self, snapshot_pair, component, factory):
+    def test_overrides_apply_to_a_frozen_load(self, snapshot_pair, component, factory):
         schema = paper_personal_schema()
         default = full_key(load_snapshot(snapshot_pair / "snap.frozen").match(schema))
-        serial = full_key(
+        frozen = full_key(
             load_snapshot(snapshot_pair / "snap.frozen", **{component: factory()}).match(schema)
         )
-        # The override changes the answer, so a worker on the default would show.
-        assert serial != default
-        executor = ProcessPoolTaskExecutor(2)
-        try:
-            service = load_snapshot(
-                snapshot_pair / "snap.frozen", executor=executor, **{component: factory()}
-            )
-            assert full_key(service.match(schema)) == serial
-            assert executor.last_chunk_sizes, "the query never reached the workers"
-        finally:
-            executor.close()
+        plain = full_key(
+            load_snapshot(snapshot_pair / "snap.json", **{component: factory()}).match(schema)
+        )
+        # The override changes the answer, so a load that ignored it would show.
+        assert frozen != default
+        assert frozen == plain
 
 
 class TestRoundTripProperty:

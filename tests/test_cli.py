@@ -112,11 +112,18 @@ class TestExperimentCommand:
 
 
 class TestSnapshotQueryCommands:
-    def test_snapshot_then_top_k_query_with_process_executor(self, tmp_path, repository_file, capsys):
-        snapshot_path = tmp_path / "repo.snapshot.json"
-        assert main(["snapshot", "--repository", str(repository_file), "--out", str(snapshot_path)]) == 0
+    @pytest.fixture
+    def snapshot_path(self, tmp_path, repository_file, capsys):
+        path = tmp_path / "repo.snapshot.json"
+        # The tree variant gives every query useful clusters, so task-0 exists.
+        assert main(
+            ["snapshot", "--repository", str(repository_file), "--variant", "tree", "--out", str(path)]
+        ) == 0
         capsys.readouterr()
-        exit_code = main(
+        return path
+
+    def query(self, snapshot_path, *extra):
+        return main(
             [
                 "query",
                 "--snapshot",
@@ -125,15 +132,96 @@ class TestSnapshotQueryCommands:
                 '{"person": ["name", "email"]}',
                 "--top-k",
                 "3",
-                "--workers",
-                "2",
-                "--executor",
-                "process",
+                *extra,
             ]
         )
-        assert exit_code == 0
+
+    def write_plan(self, tmp_path, spec):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"seed": 7, "specs": [spec]}), encoding="utf-8")
+        return str(path)
+
+    def test_snapshot_then_top_k_query(self, snapshot_path, capsys):
+        assert self.query(snapshot_path) == 0
         output = capsys.readouterr().out
         assert "useful clusters" in output
+        assert "#1 " in output
+
+    def carrier(self, snapshot_path, kind, capsys):
+        """The snapshot as written (``json``) or converted to a frozen file."""
+        if kind == "json":
+            return snapshot_path
+        path = snapshot_path.with_suffix(".frozen")
+        assert main(["snapshot", "freeze", "--snapshot", str(snapshot_path), "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("kind", ["json", "frozen"])
+    def test_a_delay_plan_keeps_the_ranking(self, snapshot_path, kind, tmp_path, capsys):
+        assert self.query(snapshot_path) == 0
+        expected = capsys.readouterr().out
+        plan = self.write_plan(tmp_path, {"key": "task-0", "kind": "delay", "delay_ms": 5})
+        assert self.query(self.carrier(snapshot_path, kind, capsys), "--fault-plan", plan) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("kind", ["json", "frozen"])
+    def test_an_error_plan_exits_with_the_injected_message(
+        self, snapshot_path, kind, tmp_path, capsys
+    ):
+        plan = self.write_plan(
+            tmp_path, {"key": "task-0", "kind": "error", "message": "cluster task down"}
+        )
+        assert self.query(self.carrier(snapshot_path, kind, capsys), "--fault-plan", plan) == 2
+        assert "cluster task down (key=task-0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--retries", "2"], ["--hedge-ms", "50"]], ids=["retries", "hedge-ms"]
+    )
+    def test_shard_failover_flags_without_shards_are_an_error(self, snapshot_path, flag, capsys):
+        assert self.query(snapshot_path, *flag) == 2
+        assert "--retries and --hedge-ms require --shards" in capsys.readouterr().err
+
+    def test_serve_answers_an_injected_error_and_keeps_serving(
+        self, snapshot_path, tmp_path, capsys, monkeypatch
+    ):
+        # The first query's task-0 fails; the plan's call counter lets the
+        # second through, so the loop must still be up to answer it.
+        plan = self.write_plan(
+            tmp_path, {"key": "task-0", "kind": "error", "calls": [0], "message": "first only"}
+        )
+        request = json.dumps(
+            {"v": 1, "kind": "match", "schema": {"person": ["name", "email"]}, "options": {"top_k": 3}}
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{request}\n{request}\n"))
+        assert main(["serve", "--snapshot", str(snapshot_path), "--fault-plan", plan]) == 0
+        ready, failed, answered = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert ready["kind"] == "ready"
+        assert failed["kind"] == "error"
+        assert "first only (key=task-0)" in failed["error"]
+        assert answered["kind"] == "match_response"
+        assert answered["mapping_count"] >= 1
+
+
+class TestRemovedPoolFlags:
+    """The thread/process pool options are gone from every command that had them."""
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--executor", "thread"]], ids=["workers", "executor"]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["query", "--snapshot", "snap.json", "--personal", "{}"],
+            ["serve", "--snapshot", "snap.json"],
+            ["trace", "replay", "--trace", "trace.json", "--snapshot", "snap.json"],
+        ],
+        ids=["query", "serve", "trace-replay"],
+    )
+    def test_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 #: A valid v1 query; each transport must still answer it after a bad line.
