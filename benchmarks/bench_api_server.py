@@ -63,6 +63,8 @@ from repro.workload.personal import (
     purchase_personal_schema,
 )
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_api_server.json"
 
 
@@ -290,6 +292,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "api_server",
+        **host_fields(),
         "config": {
             "nodes": repository.node_count,
             "trees": repository.tree_count,

@@ -42,6 +42,8 @@ from repro.workload.personal import (
     purchase_personal_schema,
 )
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_element_matching.json"
 
 
@@ -108,6 +110,7 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": "element_matching",
+        **host_fields(),
         "repository": {
             "trees": repository.tree_count,
             "nodes": repository.node_count,

@@ -51,6 +51,8 @@ from repro.utils.rng import SeededRandom
 from repro.workload.trace import replay_trace, synthesize_zipf_trace
 from repro.workload.vocabulary import DOMAINS
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_ingest.json"
 
 
@@ -195,6 +197,7 @@ def _run(args, workdir: Path) -> int:
 
     report = {
         "benchmark": "ingest",
+        **host_fields(),
         "seed": args.seed,
         "corpus": {
             "documents": status_a["stages"]["fetch"].get("documents"),

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,6 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.system.bellflower import Bellflower
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
+
+from _host import host_fields
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_mapping_search.json"
 
@@ -61,13 +62,6 @@ def _best_of(rounds: int, run) -> tuple[float, object]:
         result = run()
         best = min(best, time.perf_counter() - started)
     return best, result
-
-
-def _cpu_affinity() -> int:
-    """CPUs this process may run on (the affinity set where the OS reports one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def main(argv=None) -> int:
@@ -113,8 +107,7 @@ def main(argv=None) -> int:
     report: dict = {
         "nodes": repository.node_count,
         "trees": repository.tree_count,
-        "cpu_count": os.cpu_count(),
-        "cpu_affinity": _cpu_affinity(),
+        **host_fields(),
         "delta": args.delta,
         "element_threshold": args.threshold,
         "top_k": args.top_k,

@@ -58,6 +58,8 @@ from repro.workload.personal import (
     paper_personal_schema,
 )
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 
 STRAGGLER_MS = 100.0
@@ -285,6 +287,7 @@ def main(argv=None) -> int:
     )
     report = {
         "benchmark": "resilience",
+        **host_fields(),
         "repository": {"trees": repository.tree_count, "nodes": repository.node_count},
         "shards": args.shards,
         "threshold": args.threshold,

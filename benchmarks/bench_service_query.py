@@ -50,6 +50,8 @@ from repro.workload.personal import (
     paper_personal_schema,
 )
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_service_query.json"
 
 
@@ -148,6 +150,7 @@ def _run(args, workdir: Path) -> int:
 
     report = {
         "benchmark": "service_query",
+        **host_fields(),
         "repository": {
             "trees": repository.tree_count,
             "nodes": repository.node_count,

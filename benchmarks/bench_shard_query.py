@@ -22,8 +22,11 @@ gates three claims:
     This speedup is deterministic (dedup arithmetic, not parallelism), so it
     holds on single-core runners too.
 
-The fan-out's ``match_many`` wall clock at the headline shard count is also
-reported, with ``cpu_count`` and the CPU affinity set's size.
+Also reported, ungated: the fan-out's ``match_many`` wall clock at the
+headline shard count, and the *shard tax* — the median per-query time of a
+2-shard set and of a ``--shards`` set, each divided by the unsharded
+service's, all serial with the result cache off — with ``cpu_count`` and the
+CPU affinity set's size.
 
 Run from the repository root::
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -52,7 +55,11 @@ from repro.workload.personal import (
     purchase_personal_schema,
 )
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_shard_query.json"
+#: Timed passes over the schemas per service in the shard-tax measurement.
+SHARD_TAX_ROUNDS = 10
 
 
 def distinct_schemas():
@@ -69,11 +76,23 @@ def ranking_keys(results):
     return [result.ranking_key() for result in results]
 
 
-def cpu_affinity() -> int:
-    """CPUs this process may run on (the affinity set where the OS reports one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def median_query_seconds(services, schemas):
+    """Median wall clock of one ``match`` on each service, by service name.
+
+    One warm-up pass each, then ``SHARD_TAX_ROUNDS`` passes that visit the
+    services in turn, so drift in the host's speed reaches them all alike.
+    """
+    for service in services.values():
+        for schema in schemas:
+            service.match(schema)
+    times = {name: [] for name in services}
+    for _ in range(SHARD_TAX_ROUNDS):
+        for name, service in services.items():
+            for schema in schemas:
+                started = time.perf_counter()
+                service.match(schema)
+                times[name].append(time.perf_counter() - started)
+    return {name: statistics.median(values) for name, values in times.items()}
 
 
 def main(argv=None) -> int:
@@ -134,6 +153,25 @@ def main(argv=None) -> int:
     fan_out_seconds = time.perf_counter() - started
     identical = identical and ranking_keys(fan_out_results) == ranking_keys(reference_topk)
 
+    # -- shard tax: sharded vs unsharded per-query time (serial, cache off) ---
+    tax_services = {
+        "unsharded": MatchingService(
+            repository, element_threshold=args.threshold, query_cache_size=0
+        )
+    }
+    for shard_count in (2, args.shards):
+        tax_services[f"shards_{shard_count}"] = ShardedMatchingService.from_repository(
+            repository, shard_count, element_threshold=args.threshold, query_cache_size=0
+        )
+    medians = median_query_seconds(tax_services, schemas)
+    unsharded_seconds = medians.pop("unsharded")
+    shard_tax = {"unsharded_median_query_seconds": round(unsharded_seconds, 6)}
+    for name, seconds in medians.items():
+        shard_tax[name] = {
+            "median_query_seconds": round(seconds, 6),
+            "ratio": round(seconds / unsharded_seconds, 3),
+        }
+
     # -- batched front-end vs query-by-query replay ---------------------------
     # The baseline must do the work reuse saves: ``unsharded`` already holds
     # every answer in its cache, so replay against a cache-off twin.
@@ -159,8 +197,7 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": "shard_query",
-        "cpu_count": os.cpu_count(),
-        "cpu_affinity": cpu_affinity(),
+        **host_fields(),
         "repository": {"trees": repository.tree_count, "nodes": repository.node_count},
         "shards": args.shards,
         "threshold": args.threshold,
@@ -168,6 +205,7 @@ def main(argv=None) -> int:
         "outputs_identical": identical,
         "incumbent_pruned_partial_mappings": incumbent_pruned,
         "serial_batch_seconds": round(fan_out_seconds, 6),
+        "shard_tax": shard_tax,
         "batch_workload": {
             "queries": len(batch),
             "distinct": len(schemas),

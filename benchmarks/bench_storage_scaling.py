@@ -48,6 +48,8 @@ from repro.service import MatchingService, load_snapshot, write_snapshot
 from repro.storage import freeze_service, load_frozen_service
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
+from _host import host_fields
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_storage_scaling.json"
 
 #: Candidate-generation probes: realistic schema-element names (long enough
@@ -228,6 +230,7 @@ def _run(args, scales, workdir: Path) -> int:
 
     report = {
         "benchmark": "storage_scaling",
+        **host_fields(),
         "threshold": args.threshold,
         "rounds": args.rounds,
         "queries": len(QUERIES),

@@ -30,11 +30,17 @@ for any shard count, because every pipeline stage distributes over trees:
 What does *not* distribute is the coordinate space: each shard numbers its
 trees and global node ids from zero.  The service keeps the translation
 tables (shard-local tree id → merged tree id, and the corresponding global-id
-offsets) and rewrites every mapping, candidate, cluster and report back into
+offsets) and rewrites every mapping and cluster report back into
 merged-repository coordinates before merging — including the **cluster ids**:
 shard-local ids are re-ranked into the exact ids the unsharded clusterer
 would have assigned (cluster ids are ordinal in (tree, fragment) order and
 the translation is order-preserving), so even score ties break identically.
+
+The merged candidate table and cluster set are translated the same way, but
+only when first read (:class:`MergedMatchResult`): no response reads them,
+so a served query never pays for them.  The result keeps its shard results
+and the translation tables of its query, so a later read builds exactly the
+tables an eager merge would have.
 
 Cross-shard incumbent sharing
 -----------------------------
@@ -64,6 +70,7 @@ or writes a cache of its own.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -170,6 +177,182 @@ def _run_shard_query(task) -> MatchResult:
     )
 
 
+class _MergeCoordinates:
+    """Shard-local → merged coordinates as they stood when one query ran.
+
+    ``local_to_global[s][l]`` is the merged tree id of shard ``s``'s local
+    tree ``l``, ``global_offsets[g]`` the merged global id of tree ``g``'s
+    first node, and ``cluster_map`` maps (shard id, local cluster id) to the
+    merged cluster id.  The service replaces its tables on every mutation and
+    never changes them in place, so holding them keeps this query's
+    coordinates — plain data, with no reference to the service.
+    """
+
+    __slots__ = ("local_to_global", "global_offsets", "cluster_map")
+
+    def __init__(
+        self,
+        local_to_global: Tuple[Tuple[int, ...], ...],
+        global_offsets: Tuple[int, ...],
+        cluster_map: Dict[Tuple[int, int], int],
+    ) -> None:
+        self.local_to_global = local_to_global
+        self.global_offsets = global_offsets
+        self.cluster_map = cluster_map
+
+    def ref(self, shard_id: int, ref: RepositoryNodeRef) -> RepositoryNodeRef:
+        tree_id = self.local_to_global[shard_id][ref.tree_id]
+        return RepositoryNodeRef(
+            global_id=self.global_offsets[tree_id] + ref.node_id,
+            tree_id=tree_id,
+            node_id=ref.node_id,
+        )
+
+    def element(self, shard_id: int, element: MappingElement) -> MappingElement:
+        return MappingElement(
+            personal_node_id=element.personal_node_id,
+            ref=self.ref(shard_id, element.ref),
+            similarity=element.similarity,
+        )
+
+    def mapping(self, shard_id: int, mapping: SchemaMapping) -> SchemaMapping:
+        cluster_id = mapping.cluster_id
+        if cluster_id is not None:
+            cluster_id = self.cluster_map[(shard_id, cluster_id)]
+        return SchemaMapping(
+            assignment={
+                node_id: self.element(shard_id, element)
+                for node_id, element in mapping.assignment.items()
+            },
+            score=mapping.score,
+            components=dict(mapping.components),
+            target_edge_count=mapping.target_edge_count,
+            tree_id=self.local_to_global[shard_id][mapping.tree_id],
+            cluster_id=cluster_id,
+        )
+
+
+#: Serializes the first reads of merged results' deferred tables.  No
+#: response reads them, so builds are rare; one module lock (rather than one
+#: per result) keeps results picklable.
+_BUILD_LOCK = threading.Lock()
+
+
+class _BuiltOnFirstRead:
+    """A :class:`MergedMatchResult` table, built by the named method on first read."""
+
+    def __init__(self, builder: str) -> None:
+        self.builder = builder
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        return result._table(self.name, self.builder)
+
+    def __set__(self, result, value) -> None:
+        # The dataclass constructor assigns a None placeholder; the table
+        # itself only ever comes from the builder.
+        if value is not None:
+            raise AttributeError(f"a merged result builds its own {self.name}")
+
+
+class MergedMatchResult(MatchResult):
+    """A merged shard answer whose candidate table and cluster set build on first read.
+
+    No response reads ``candidates`` or ``clustering`` (:mod:`repro.api.encode`
+    renders mappings, counters, timers and cluster reports), so the merge
+    leaves both to their first reader.  What the builds need is captured when
+    the query ran: the surviving ``(shard id, result)`` pairs and the
+    :class:`_MergeCoordinates` then in force.  A first read after a mutation,
+    a reload of the set or a pickle round-trip therefore builds exactly the
+    tables an eager merge would have.  Racing first readers get one object;
+    once both tables exist the shard results are dropped.
+    """
+
+    candidates = _BuiltOnFirstRead("_merge_candidates")
+    clustering = _BuiltOnFirstRead("_merge_clustering")
+
+    def __init__(
+        self,
+        shard_pairs: Sequence[Tuple[int, MatchResult]],
+        coordinates: _MergeCoordinates,
+        **fields,
+    ) -> None:
+        self._shard_pairs = tuple(shard_pairs)
+        self._coordinates = coordinates
+        self._tables: Dict[str, object] = {}
+        super().__init__(candidates=None, clustering=None, **fields)
+
+    def _table(self, name: str, builder: str):
+        tables = self._tables
+        if name not in tables:
+            with _BUILD_LOCK:
+                if name not in tables:
+                    tables[name] = getattr(self, builder)()
+                    if len(tables) == 2:
+                        self._shard_pairs = ()
+        return tables[name]
+
+    def _merge_candidates(self) -> MappingElementSets:
+        """The union of the shards' candidate tables, in unsharded element order.
+
+        The unsharded selector emits a node's elements in ascending global id
+        (repository scan order); per shard the same holds locally, and
+        translation is monotone within a shard, so sorting the translated
+        union by global id reproduces the unsharded table exactly.  Built on
+        the first read of :attr:`candidates`.
+        """
+        coordinates = self._coordinates
+        node_ids = self._shard_pairs[0][1].candidates.personal_node_ids
+        merged = MappingElementSets(node_ids)
+        for node_id in node_ids:
+            elements: List[MappingElement] = []
+            for shard_id, result in self._shard_pairs:
+                elements.extend(
+                    coordinates.element(shard_id, element)
+                    for element in result.candidates.elements_for(node_id)
+                )
+            elements.sort(key=lambda element: element.ref.global_id)
+            for element in elements:
+                merged.add(element)
+        return merged
+
+    def _merge_clustering(self) -> Optional[ClusteringResult]:
+        """The shards' clusters in merged coordinates and merged cluster ids.
+
+        Built on the first read of :attr:`clustering`.
+        """
+        coordinates = self._coordinates
+        clusters: List[Optional[Cluster]] = [None] * len(coordinates.cluster_map)
+        counters = CounterSet()
+        elapsed = 0.0
+        for shard_id, result in self._shard_pairs:
+            if result.clustering is None:  # pragma: no cover - service always clusters
+                return None
+            counters.merge(result.clustering.counters)
+            elapsed += result.clustering.elapsed_seconds
+            for cluster in result.clustering.clusters:
+                merged_id = coordinates.cluster_map[(shard_id, cluster.cluster_id)]
+                clusters[merged_id] = Cluster(
+                    cluster_id=merged_id,
+                    tree_id=coordinates.local_to_global[shard_id][cluster.tree_id],
+                    members={coordinates.ref(shard_id, member) for member in cluster.members},
+                    centroid=(
+                        None
+                        if cluster.centroid is None
+                        else coordinates.ref(shard_id, cluster.centroid)
+                    ),
+                )
+        return ClusteringResult(
+            clusters=ClusterSet(cluster for cluster in clusters if cluster is not None),
+            counters=counters,
+            elapsed_seconds=elapsed,
+        )
+
+
 class ShardedRepositoryView:
     """A read-only, merged-coordinate view over the shard repositories.
 
@@ -201,11 +384,7 @@ class ShardedRepositoryView:
         return self._service.tree(tree_id)
 
     def summary(self) -> Dict[str, int]:
-        sizes = [
-            shard.repository.tree(local_id).node_count
-            for shard in self._service.shards
-            for local_id in range(shard.repository.tree_count)
-        ]
+        sizes = self._service._tree_sizes
         return {
             "trees": self.tree_count,
             "nodes": self.node_count,
@@ -240,9 +419,11 @@ class ShardedMatchingService(MatcherAPIMixin):
     query_cache_size:
         Capacity of the set's result cache: merged results keyed by (schema
         fingerprint, effective ``δ``, ``top_k``, shard-set version).  ``0``
-        means no cache.  A hit returns the previously merged
-        :class:`~repro.system.results.MatchResult` object without touching
-        any shard; the shards' own caches are never used.
+        means no cache.  A hit returns the earlier
+        :class:`MergedMatchResult` object without touching any shard; it
+        holds the translated mappings and the shard results its candidate
+        table and cluster set are built from on first read.  The shards' own
+        caches are never used.
     global_version:
         The shard-set version (manifest loads pass the manifest's value).
         Bumped by every live mutation.
@@ -356,35 +537,42 @@ class ShardedMatchingService(MatcherAPIMixin):
 
         ``_local_to_global[s][l]`` is the merged tree id of shard ``s``'s
         local tree ``l``; ``_global_offsets[g]`` is the merged global id of
-        tree ``g``'s first node; ``_translators[s]`` rewrites shard-local
-        global ids (and thus signatures) into merged ones.
+        tree ``g``'s first node and ``_tree_sizes[g]`` its node count;
+        ``_translators[s]`` rewrites shard-local global ids (and thus
+        signatures) into merged ones.  Sizes are read off the shards' tree
+        offsets, so a frozen shard never materializes a tree here.  The
+        tables are replaced, never changed in place: merged results keep
+        the ones their query ran with (:class:`_MergeCoordinates`).
         """
-        self._local_to_global = [[] for _ in self.shards]
+        local_to_global: List[List[int]] = [[] for _ in self.shards]
         self._merged_to_local: List[Tuple[int, int]] = []
         for tree_id, shard_id in enumerate(self._assignment):
-            self._merged_to_local.append((shard_id, len(self._local_to_global[shard_id])))
-            self._local_to_global[shard_id].append(tree_id)
+            self._merged_to_local.append((shard_id, len(local_to_global[shard_id])))
+            local_to_global[shard_id].append(tree_id)
+        local_offsets = []
         sizes = [0] * len(self._assignment)
-        for shard_id, shard in enumerate(self.shards):
-            for local_id, tree_id in enumerate(self._local_to_global[shard_id]):
-                sizes[tree_id] = shard.repository.tree(local_id).node_count
-        self._global_offsets = []
+        for shard, trees in zip(self.shards, local_to_global):
+            offsets = [shard.repository.tree_offset(local_id) for local_id in range(len(trees))]
+            ends = offsets[1:] + [shard.repository.node_count]
+            for tree_id, start, end in zip(trees, offsets, ends):
+                sizes[tree_id] = end - start
+            local_offsets.append(offsets)
+        global_offsets = []
         total = 0
         for size in sizes:
-            self._global_offsets.append(total)
+            global_offsets.append(total)
             total += size
+        self._local_to_global = tuple(tuple(trees) for trees in local_to_global)
+        self._global_offsets = tuple(global_offsets)
+        self._tree_sizes = tuple(sizes)
         self._total_nodes = total
-        self._translators = []
-        for shard_id, shard in enumerate(self.shards):
-            starts = []
-            deltas = []
-            for local_id, tree_id in enumerate(self._local_to_global[shard_id]):
-                local_offset = shard.repository.tree_offset(local_id)
-                starts.append(local_offset)
-                deltas.append(self._global_offsets[tree_id] - local_offset)
-            self._translators.append(
-                _ShardSignatureTranslator(tuple(starts), tuple(deltas))
+        self._translators = [
+            _ShardSignatureTranslator(
+                tuple(offsets),
+                tuple(global_offsets[tree_id] - start for tree_id, start in zip(trees, offsets)),
             )
+            for trees, offsets in zip(local_to_global, local_offsets)
+        ]
 
     # -- construction ---------------------------------------------------------
 
@@ -619,24 +807,25 @@ class ShardedMatchingService(MatcherAPIMixin):
     ) -> MatchResult:
         """Merge ``(shard id, result)`` pairs into one merged-coordinate :class:`MatchResult`.
 
-        In strict mode every shard contributes a pair and ``skipped`` is
-        empty.  In resilient mode unreachable shards are absent from
-        ``shard_pairs`` and listed in ``skipped`` instead — the merge then
-        covers the surviving shards only and the result is marked
-        ``degraded`` (with the skipped ids) so callers can tell the answer
-        from the canonical full-repository one.
+        Builds what a response reads — the translated, ranked mappings, the
+        cluster reports, counters, timers and flags — and leaves the
+        candidate table and the cluster set to their first reader
+        (:class:`MergedMatchResult`).  In strict mode every shard contributes
+        a pair and ``skipped`` is empty.  In resilient mode unreachable
+        shards are absent from ``shard_pairs`` and listed in ``skipped``
+        instead — the merge then covers the surviving shards only and the
+        result is marked ``degraded`` (with the skipped ids) so callers can
+        tell the answer from the canonical full-repository one.
         """
-        cluster_map = self._merged_cluster_ids(shard_pairs)
-
-        translated_groups: List[List[SchemaMapping]] = []
-        for shard_id, result in shard_pairs:
-            translated_groups.append(
-                [
-                    self._translate_mapping(shard_id, mapping, cluster_map)
-                    for mapping in result.mappings
-                ]
-            )
-        mappings = merge_ranked(translated_groups)
+        coordinates = _MergeCoordinates(
+            self._local_to_global, self._global_offsets, self._merged_cluster_ids(shard_pairs)
+        )
+        mappings = merge_ranked(
+            [
+                [coordinates.mapping(shard_id, mapping) for mapping in result.mappings]
+                for shard_id, result in shard_pairs
+            ]
+        )
         if top_k is not None:
             del mappings[top_k:]
 
@@ -649,14 +838,14 @@ class ShardedMatchingService(MatcherAPIMixin):
             counters.merge(result.counters)
             timers.merge(result.timers)
 
-        return MatchResult(
+        return MergedMatchResult(
+            shard_pairs,
+            coordinates,
             variant_name=shard_pairs[0][1].variant_name,
             mappings=mappings,
-            candidates=self._merge_candidates(shard_pairs),
-            clustering=self._merge_clustering(shard_pairs, cluster_map),
             generation=generation,
             timers=timers,
-            cluster_reports=self._merge_reports(shard_pairs, cluster_map),
+            cluster_reports=self._merge_reports(shard_pairs, coordinates),
             counters=counters,
             top_k=top_k,
             partial=any(result.partial for _shard_id, result in shard_pairs),
@@ -689,112 +878,16 @@ class ShardedMatchingService(MatcherAPIMixin):
             for merged_id, (_tree, local_id, shard_id) in enumerate(entries)
         }
 
-    def _translate_ref(self, shard_id: int, ref: RepositoryNodeRef) -> RepositoryNodeRef:
-        tree_id = self._local_to_global[shard_id][ref.tree_id]
-        return RepositoryNodeRef(
-            global_id=self._global_offsets[tree_id] + ref.node_id,
-            tree_id=tree_id,
-            node_id=ref.node_id,
-        )
-
-    def _translate_mapping(
-        self,
-        shard_id: int,
-        mapping: SchemaMapping,
-        cluster_map: Dict[Tuple[int, int], int],
-    ) -> SchemaMapping:
-        assignment = {
-            node_id: MappingElement(
-                personal_node_id=element.personal_node_id,
-                ref=self._translate_ref(shard_id, element.ref),
-                similarity=element.similarity,
-            )
-            for node_id, element in mapping.assignment.items()
-        }
-        cluster_id = mapping.cluster_id
-        if cluster_id is not None:
-            cluster_id = cluster_map[(shard_id, cluster_id)]
-        return SchemaMapping(
-            assignment=assignment,
-            score=mapping.score,
-            components=dict(mapping.components),
-            target_edge_count=mapping.target_edge_count,
-            tree_id=self._local_to_global[shard_id][mapping.tree_id],
-            cluster_id=cluster_id,
-        )
-
-    def _merge_candidates(
-        self, shard_pairs: Sequence[Tuple[int, MatchResult]]
-    ) -> MappingElementSets:
-        """The union of the shards' candidate tables, in unsharded element order.
-
-        The unsharded selector emits a node's elements in ascending global id
-        (repository scan order); per shard the same holds locally, and
-        translation is monotone within a shard, so sorting the translated
-        union by global id reproduces the unsharded table exactly.
-        """
-        node_ids = shard_pairs[0][1].candidates.personal_node_ids
-        merged = MappingElementSets(node_ids)
-        for node_id in node_ids:
-            elements: List[MappingElement] = []
-            for shard_id, result in shard_pairs:
-                elements.extend(
-                    MappingElement(
-                        personal_node_id=element.personal_node_id,
-                        ref=self._translate_ref(shard_id, element.ref),
-                        similarity=element.similarity,
-                    )
-                    for element in result.candidates.elements_for(node_id)
-                )
-            elements.sort(key=lambda element: element.ref.global_id)
-            for element in elements:
-                merged.add(element)
-        return merged
-
-    def _merge_clustering(
-        self,
-        shard_pairs: Sequence[Tuple[int, MatchResult]],
-        cluster_map: Dict[Tuple[int, int], int],
-    ) -> Optional[ClusteringResult]:
-        clusters: List[Optional[Cluster]] = [None] * len(cluster_map)
-        counters = CounterSet()
-        elapsed = 0.0
-        for shard_id, result in shard_pairs:
-            if result.clustering is None:  # pragma: no cover - service always clusters
-                return None
-            counters.merge(result.clustering.counters)
-            elapsed += result.clustering.elapsed_seconds
-            for cluster in result.clustering.clusters:
-                merged_id = cluster_map[(shard_id, cluster.cluster_id)]
-                clusters[merged_id] = Cluster(
-                    cluster_id=merged_id,
-                    tree_id=self._local_to_global[shard_id][cluster.tree_id],
-                    members={
-                        self._translate_ref(shard_id, member) for member in cluster.members
-                    },
-                    centroid=(
-                        None
-                        if cluster.centroid is None
-                        else self._translate_ref(shard_id, cluster.centroid)
-                    ),
-                )
-        return ClusteringResult(
-            clusters=ClusterSet(cluster for cluster in clusters if cluster is not None),
-            counters=counters,
-            elapsed_seconds=elapsed,
-        )
-
+    @staticmethod
     def _merge_reports(
-        self,
-        shard_pairs: Sequence[Tuple[int, MatchResult]],
-        cluster_map: Dict[Tuple[int, int], int],
+        shard_pairs: Sequence[Tuple[int, MatchResult]], coordinates: _MergeCoordinates
     ) -> List[ClusterReport]:
         reports: List[ClusterReport] = []
         for shard_id, result in shard_pairs:
-            local_to_global = self._local_to_global[shard_id]
+            local_to_global = coordinates.local_to_global[shard_id]
             reports.extend(
                 ClusterReport(
-                    cluster_id=cluster_map[(shard_id, report.cluster_id)],
+                    cluster_id=coordinates.cluster_map[(shard_id, report.cluster_id)],
                     tree_id=local_to_global[report.tree_id],
                     member_count=report.member_count,
                     mapping_element_count=report.mapping_element_count,

@@ -283,6 +283,25 @@ class TestFrozenShardSet:
         for schema in (paper_personal_schema(), contact_personal_schema()):
             assert loaded.match(schema).ranking_key() == service.match(schema).ranking_key()
 
+    def test_loading_a_frozen_set_and_its_stats_materialize_no_tree(self, shard_sets, monkeypatch):
+        _, target = shard_sets
+        twin = load_shard_set(target / "json" / "manifest.json")
+
+        def materialize(self, tree_id):
+            raise AssertionError(f"opening the set materialized tree {tree_id}")
+
+        monkeypatch.setattr(FrozenRepository, "_materialize_tree", materialize)
+        loaded = load_shard_set(target / "frozen" / "manifest.json")
+        stats, twin_stats = loaded.stats(), twin.stats()
+        for key in ("trees", "nodes", "largest_tree", "smallest_tree"):
+            assert stats[key] == twin_stats[key]
+        assert loaded._local_to_global == twin._local_to_global
+        assert loaded._global_offsets == twin._global_offsets
+        assert loaded._tree_sizes == twin._tree_sizes
+        assert [(t.starts, t.deltas) for t in loaded._translators] == [
+            (t.starts, t.deltas) for t in twin._translators
+        ]
+
     def test_uncached_fan_out_repeats_a_query_identically(self, shard_sets):
         _, target = shard_sets
         schema = paper_personal_schema()
