@@ -46,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.ingest import BundledCorpusSource, DirectorySource, IngestConfig, IngestPipeline
 from repro.shard import ShardedMatchingService
-from repro.storage import load_frozen_service
+from repro.service import load_snapshot
 from repro.utils.rng import SeededRandom
 from repro.workload.trace import replay_trace, synthesize_zipf_trace
 from repro.workload.vocabulary import DOMAINS
@@ -166,8 +166,8 @@ def _run(args, workdir: Path) -> int:
 
     # The baseline runs on a cache-off twin: on the batched service itself
     # every replayed query would be a cache hit after the first round.
-    service = load_frozen_service(snapshot_path)
-    uncached = load_frozen_service(snapshot_path, query_cache_size=0)
+    service = load_snapshot(snapshot_path)
+    uncached = load_snapshot(snapshot_path, query_cache_size=0)
     batched_seconds, batched_report = measure_replay(trace, service, args.rounds, True)
     single_seconds, single_report = measure_replay(trace, uncached, args.rounds, False)
 

@@ -11,7 +11,9 @@ over one generated repository:
     process paid before the service layer existed.
 
 ``snapshot_load_seconds``
-    Load the same state from a service snapshot in one file read.
+    Load the same state from the service snapshot: one frozen file, mapped
+    and validated in O(header) time, whose views decode what a query touches
+    on first touch.
 
 ``cold/warm/cached query latency``
     First query after start-up, a different schema (shares the warm derived
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
 
 def _run(args, workdir: Path) -> int:
     repository_path = workdir / "bench_service_repository.json"
-    snapshot_path = workdir / "bench_service_snapshot.json"
+    snapshot_path = workdir / "bench_service_snapshot.frozen"
 
     profile = RepositoryProfile(
         target_node_count=args.nodes,
@@ -117,7 +119,7 @@ def _run(args, workdir: Path) -> int:
     # One cold build produces both the snapshot every warm round loads and the
     # reference service for the output-identity gate.
     _, cold_service = build_cold(repository_path, args.threshold)
-    write_snapshot(cold_service, snapshot_path, build=False)
+    write_snapshot(cold_service, snapshot_path)
 
     cold_seconds = min(
         build_cold(repository_path, args.threshold)[0] for _ in range(args.rounds)

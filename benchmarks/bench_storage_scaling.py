@@ -9,9 +9,7 @@ storage subsystem makes:
     Opening a frozen snapshot maps segments instead of parsing them, so the
     first-open latency must stay flat while the repository grows 10x — gated
     by both an absolute ceiling (``--max-open-seconds``, default 100ms) and a
-    growth ratio (``--max-open-growth``).  For contrast, the smallest scale
-    also loads the equivalent JSON snapshot (report-only: JSON load is linear
-    in repository size by construction).
+    growth ratio (``--max-open-growth``).
 
 ``candidate queries are sublinear``
     With the banded prefix-filter index (always on for frozen indexes), the
@@ -45,7 +43,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.matchers.index import RepositoryNameIndex
 from repro.service import MatchingService, load_snapshot, write_snapshot
-from repro.storage import freeze_service, load_frozen_service
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
 from _host import host_fields
@@ -83,7 +80,7 @@ def build_frozen(trees: int, workdir: Path):
     service = MatchingService(repository)
     target = workdir / f"scale-{trees}.frozen"
     started = time.perf_counter()
-    freeze_service(service, target)
+    write_snapshot(service, target)
     freeze_seconds = time.perf_counter() - started
     return repository, target, generate_seconds, freeze_seconds
 
@@ -97,7 +94,7 @@ def measure_open(path: Path, rounds: int) -> tuple[float, float]:
     timings = []
     for _ in range(max(rounds, 1)):
         started = time.perf_counter()
-        load_frozen_service(path)
+        load_snapshot(path)
         timings.append(time.perf_counter() - started)
     return timings[0], min(timings)
 
@@ -126,12 +123,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--threshold", type=float, default=0.92, help="candidate query threshold")
     parser.add_argument("--rounds", type=int, default=5, help="timing rounds (best-of)")
-    parser.add_argument(
-        "--json-compare-max-trees",
-        type=int,
-        default=10_000,
-        help="also time the JSON snapshot load at scales up to this many trees (report-only)",
-    )
     parser.add_argument(
         "--max-open-seconds",
         type=float,
@@ -176,7 +167,7 @@ def _run(args, scales, workdir: Path) -> int:
     for position, trees in enumerate(scales):
         repository, path, generate_seconds, freeze_seconds = build_frozen(trees, workdir)
         first_open, best_open = measure_open(path, args.rounds)
-        service = load_frozen_service(path)
+        service = load_snapshot(path)
         index = service.repository.name_index()
         query_seconds, survivors_total = measure_queries(index, args.threshold, args.rounds)
 
@@ -204,14 +195,6 @@ def _run(args, scales, workdir: Path) -> int:
                     or banded_pruned != linear_pruned
                 ):
                     candidates_identical = False
-
-        if repository.tree_count <= args.json_compare_max_trees:
-            json_path = workdir / f"scale-{trees}.snapshot.json"
-            write_snapshot(service, json_path, build=False)
-            started = time.perf_counter()
-            load_snapshot(json_path)
-            row["json_load_seconds"] = round(time.perf_counter() - started, 6)
-            row["json_bytes"] = json_path.stat().st_size
 
         rows.append(row)
         print(json.dumps(row, sort_keys=True), flush=True)

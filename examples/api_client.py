@@ -13,8 +13,8 @@ Demonstrates the v1 JSONL wire protocol end to end against a live server:
 Run a server first (any backend works — snapshot or shard set)::
 
     PYTHONPATH=src python -m repro.cli generate --nodes 2500 --out repo.json
-    PYTHONPATH=src python -m repro.cli snapshot --repository repo.json --out repo.snapshot.json
-    PYTHONPATH=src python -m repro.cli serve --snapshot repo.snapshot.json --port 7407 &
+    PYTHONPATH=src python -m repro.cli snapshot --repository repo.json --out repo.snapshot.frozen
+    PYTHONPATH=src python -m repro.cli serve --snapshot repo.snapshot.frozen --port 7407 &
 
 then::
 

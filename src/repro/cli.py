@@ -19,7 +19,8 @@ Nine subcommands cover the typical usage of the library without writing code:
 ``snapshot``
     Build a :class:`~repro.service.MatchingService` over a repository, eagerly
     materialize all derived state (name/trigram index, distance oracles,
-    repository partition) and persist everything as one snapshot file.
+    repository partition) and persist everything as one frozen snapshot file
+    (``inspect`` prints a snapshot's header and segment table).
 
 ``query``
     Load a snapshot (or a shard set via ``--shards``) and answer a single
@@ -59,8 +60,8 @@ Examples
         --personal '{"book": ["title", "author"]}' --variant medium --top 5
     python -m repro.cli match --schema-dir ./schemas --personal '{"contact": ["name", "email"]}'
     python -m repro.cli experiment table1 --scale quick
-    python -m repro.cli snapshot --repository repo.json --out repo.snapshot.json
-    python -m repro.cli query --snapshot repo.snapshot.json \\
+    python -m repro.cli snapshot --repository repo.json --out repo.snapshot.frozen
+    python -m repro.cli query --snapshot repo.snapshot.frozen \\
         --personal '{"person": ["name", "email"]}' --top 5
     python -m repro.cli shard split --repository repo.json --shards 4 \\
         --router size-balanced --out-dir ./shards
@@ -208,87 +209,52 @@ def _command_snapshot(args: argparse.Namespace) -> int:
     from repro.service import write_snapshot
 
     if not args.out:
-        raise ReproError("snapshot requires --out (or use 'snapshot freeze/inspect')")
+        raise ReproError("snapshot requires --out (or use 'snapshot inspect')")
     repository = _load_repository_argument(args)
     service = _make_service(repository, args)
-    payload = write_snapshot(service, Path(args.out))
+    header = write_snapshot(service, Path(args.out))
     print(
         f"wrote snapshot of {repository.node_count} nodes in {repository.tree_count} trees "
         f"to {args.out} (variant {service.variant_name}, "
-        f"{len(payload['oracles'])} oracles, {len(payload['name_indexes'])} name indexes)"
-    )
-    return 0
-
-
-def _command_snapshot_freeze(args: argparse.Namespace) -> int:
-    from repro.storage import freeze_snapshot_file
-
-    header = freeze_snapshot_file(Path(args.snapshot), Path(args.out))
-    meta = header["repository"]
-    print(
-        f"froze {meta['node_count']} nodes in {meta['tree_count']} trees to {args.out} "
-        f"({len(header['segments'])} segments, {len(header['indexes'])} name indexes, "
-        f"digest {meta['digest']})"
+        f"{len(header['segments'])} segments, {len(header['indexes'])} name indexes, "
+        f"digest {header['repository']['digest']})"
     )
     return 0
 
 
 def _command_snapshot_inspect(args: argparse.Namespace) -> int:
     """Header-only inspection: no tree, oracle or index is ever materialized."""
-    import json as json_module
-
-    from repro.storage import is_frozen_file, open_frozen
+    from repro.storage import open_frozen
 
     path = Path(args.snapshot)
-    if is_frozen_file(path):
-        snapshot = open_frozen(path)
-        header = snapshot.header
-        meta = header["repository"]
-        print(f"frozen snapshot {path}")
-        print(f"  format:  {header['format']} v{header['version']}")
-        print(
-            f"  forest:  {meta['tree_count']} trees, {meta['node_count']} nodes "
-            f"(largest {meta['largest_tree']}, smallest {meta['smallest_tree']}), "
-            f"digest {meta['digest']}"
-        )
-        config = header.get("config", {})
-        print(
-            f"  config:  variant={config.get('variant')!r} "
-            f"element_threshold={config.get('element_threshold')} delta={config.get('delta')}"
-        )
-        print(f"  indexes: {len(header.get('indexes', []))}")
-        partition = header.get("partition")
-        print(
-            "  partition: none"
-            if partition is None
-            else f"  partition: max_fragment_size={partition['max_fragment_size']} "
-            f"reclustering={partition['reclustering']!r}"
-        )
-        print(f"  segments ({len(header['segments'])}):")
-        for entry in header["segments"]:
-            print(
-                f"    {entry['name']:<28} {entry['kind']:<6} "
-                f"count={entry['count']:<10} bytes={entry['length']:<10} offset={entry['offset']}"
-            )
-        return 0
-    try:
-        payload = json_module.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot inspect {path}: {exc}") from exc
-    trees = payload.get("repository", {}).get("trees", [])
-    config = payload.get("config", {})
-    print(f"JSON snapshot {path}")
-    print(f"  format:  {payload.get('format')} v{payload.get('version')}")
+    header = open_frozen(path).header
+    meta = header["repository"]
+    print(f"frozen snapshot {path}")
+    print(f"  format:  {header['format']} v{header['version']}")
     print(
-        f"  forest:  {len(trees)} trees, "
-        f"{sum(len(tree.get('nodes', [])) for tree in trees)} nodes"
+        f"  forest:  {meta['tree_count']} trees, {meta['node_count']} nodes "
+        f"(largest {meta['largest_tree']}, smallest {meta['smallest_tree']}), "
+        f"digest {meta['digest']}"
     )
+    config = header.get("config", {})
     print(
         f"  config:  variant={config.get('variant')!r} "
         f"element_threshold={config.get('element_threshold')} delta={config.get('delta')}"
     )
-    print(f"  indexes: {len(payload.get('name_indexes', []))}")
-    print(f"  oracles: {len(payload.get('oracles', {}))}")
+    print(f"  indexes: {len(header.get('indexes', []))}")
+    partition = header.get("partition")
+    print(
+        "  partition: none"
+        if partition is None
+        else f"  partition: max_fragment_size={partition['max_fragment_size']} "
+        f"reclustering={partition['reclustering']!r}"
+    )
+    print(f"  segments ({len(header['segments'])}):")
+    for entry in header["segments"]:
+        print(
+            f"    {entry['name']:<28} {entry['kind']:<6} "
+            f"count={entry['count']:<10} bytes={entry['length']:<10} offset={entry['offset']}"
+        )
     return 0
 
 
@@ -858,20 +824,14 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_parser.add_argument("--element-threshold", type=float, default=0.45)
     snapshot_parser.add_argument("--delta", type=float, default=0.7)
     snapshot_parser.add_argument("--max-fragment-size", type=int, default=20, help="partition fragment size cap")
-    snapshot_parser.add_argument("--out", help="output snapshot file")
+    snapshot_parser.add_argument("--out", help="output snapshot file (frozen, mmap-loaded)")
     snapshot_parser.set_defaults(handler=_command_snapshot)
 
     snapshot_subparsers = snapshot_parser.add_subparsers(dest="snapshot_command", required=False)
-    freeze_parser = snapshot_subparsers.add_parser(
-        "freeze", help="convert a JSON snapshot into a frozen (mmap) snapshot"
-    )
-    freeze_parser.add_argument("--snapshot", required=True, help="JSON snapshot file to convert")
-    freeze_parser.add_argument("--out", required=True, help="output frozen snapshot file")
-    freeze_parser.set_defaults(handler=_command_snapshot_freeze)
     inspect_parser = snapshot_subparsers.add_parser(
         "inspect", help="print a snapshot's header and segment table (no full load)"
     )
-    inspect_parser.add_argument("--snapshot", required=True, help="snapshot file (JSON or frozen)")
+    inspect_parser.add_argument("--snapshot", required=True, help="snapshot file")
     inspect_parser.set_defaults(handler=_command_snapshot_inspect)
 
     query_parser = subparsers.add_parser("query", help="answer queries from a snapshot or shard set")
@@ -1044,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a trace against a snapshot or shard set"
     )
     trace_replay_parser.add_argument("--trace", required=True, help="trace JSON file")
-    trace_replay_parser.add_argument("--snapshot", help="snapshot file (JSON or frozen)")
+    trace_replay_parser.add_argument("--snapshot", help="snapshot file")
     trace_replay_parser.add_argument("--shards", help="shard-set manifest written by 'shard split'")
     trace_replay_parser.add_argument(
         "--single", action="store_true",

@@ -14,7 +14,7 @@ Five stages turn raw schema documents into one frozen, query-ready snapshot::
   is the deterministic fetch order, so "first" is well-defined);
 * **merge** streams the kept trees into a frozen ``repro.storage`` snapshot in
   bounded chunks — the first chunk through
-  :func:`~repro.storage.builder.freeze_service`, every later chunk through
+  :func:`~repro.service.snapshot.write_snapshot`, every later chunk through
   :func:`~repro.storage.builder.compact_frozen` — so the whole corpus is never
   materialized in memory at once.
 
@@ -422,8 +422,8 @@ class IngestPipeline:
 
     def _run_merge(self, kept: List[Dict[str, Any]]) -> Dict[str, Any]:
         from repro.schema.repository import SchemaRepository
-        from repro.service import MatchingService
-        from repro.storage.builder import compact_frozen, freeze_service
+        from repro.service import MatchingService, write_snapshot
+        from repro.storage.builder import compact_frozen
 
         assert self.config is not None
         checkpoint = self.store.load_checkpoint("merge")
@@ -461,7 +461,7 @@ class IngestPipeline:
                     delta=self.config.delta,
                     partition_max_fragment_size=self.config.partition_max_fragment_size,
                 )
-                freeze_service(service, path)
+                write_snapshot(service, path)
             else:
                 previous = self.store.generations_dir / generations[index - 1]["file"]
                 compact_frozen(previous, path, add_trees=trees)

@@ -42,7 +42,7 @@ class TreeDistanceOracle:
     # -- (de)serialization ----------------------------------------------------
 
     def to_payload(self) -> Dict[str, object]:
-        """The oracle's tables as JSON-friendly lists (repository snapshots).
+        """The oracle's tables as flat int lists (the snapshot writer's input).
 
         The sparse-table levels are included so a snapshot load skips the
         doubling construction entirely; they are pure derived data, so a
@@ -60,9 +60,9 @@ class TreeDistanceOracle:
     def from_payload(cls, tree: SchemaTree, payload: Dict[str, object]) -> "TreeDistanceOracle":
         """Rebuild an oracle from :meth:`to_payload` output for the same tree.
 
-        The payload sequences are adopted as-is: the JSON and frozen snapshot
-        loaders hand over live ``array('i')`` buffers, and rehydrating them
-        into per-integer Python objects would dominate load time and memory.
+        The payload sequences are adopted as-is: the snapshot loader hands
+        over zero-copy views of the mapped file, and rehydrating them into
+        per-integer Python objects would dominate load time and memory.
         Oracles built this way are complete, so the build paths that append to
         the tour never run against an adopted buffer.
         """
@@ -191,20 +191,6 @@ class RepositoryDistanceOracle:
         """
         with self._build_lock:
             self._oracles = shift_tree_keys(self._oracles, removed_tree_id)
-
-    def install(self, tree_id: int, oracle: TreeDistanceOracle) -> None:
-        """Install a deserialized per-tree oracle (snapshot load)."""
-        if oracle.tree is not self.repository.tree(tree_id):
-            raise LabelingError(
-                f"oracle for tree {oracle.tree.name!r} does not belong to "
-                f"tree id {tree_id} of repository {self.repository.name!r}"
-            )
-        with self._build_lock:
-            self._oracles[tree_id] = oracle
-
-    def built_tree_ids(self) -> List[int]:
-        """Tree ids whose oracles are currently materialized (snapshot write)."""
-        return sorted(self._oracles)
 
     @property
     def built_oracle_count(self) -> int:

@@ -30,13 +30,15 @@ admissible (every prefix of a mapping with score ``σ`` has bound ``>= σ``) and
 the floor is always a *realized, per-signature-deduplicated* mapping score, so
 a pruned branch satisfies ``bound < floor <= final k-th best distinct score``
 — none of its completions could displace the final top-``k``, and ties at the
-floor are never pruned (the cut is strict).  Because the final ranking is
-re-sorted with the canonical deterministic key, the merged top-``k`` is
-identical no matter how the floor rose over time, including when shard
-searches raise it from concurrent threads.  This argument requires a *complete*
-policy; incomplete ones (beam, budget-limited A*) opt out of incumbent
-pruning via :meth:`SearchPolicy.supports_shared_pruning` — they keep δ-only
-pruning plus plain top-``k`` truncation, staying deterministic.  Without
+floor are never pruned (the cut is strict, and lowered by ``_TIE_SLACK``
+because the bound and the realized score are different float expressions).
+Because the final ranking is re-sorted with the canonical deterministic key,
+the merged top-``k`` is identical no matter how the floor rose over time,
+including when shard searches raise it from concurrent threads.  This
+argument requires a *complete* policy; incomplete ones (beam, budget-limited
+A*) opt out of incumbent pruning via
+:meth:`SearchPolicy.supports_shared_pruning` — they keep δ-only pruning plus
+plain top-``k`` truncation, staying deterministic.  Without
 ``top_k`` the pool is absent and the engine reproduces the legacy
 ``Δ >= δ``-complete semantics (and bit-identical results) exactly.
 
@@ -62,6 +64,14 @@ from repro.mapping.search_space import grouped_search_space
 from repro.mapping.support import candidates_by_tree, incremental_path_edges
 
 _NEGATIVE_INFINITY = float("-inf")
+
+
+#: How far below the incumbent floor a bound must fall to be cut.  The
+#: optimistic bound and the realized score are different float expressions, so
+#: a branch whose exact bound equals a tied incumbent's score can read an ulp
+#: below it (0.707 against 0.7070000000000001); cutting at the bare floor would
+#: drop a tie the canonical ranking orders ahead of the incumbent.
+_TIE_SLACK = 1e-9
 
 
 class TopKPool:
@@ -286,19 +296,19 @@ class TreeSearchContext:
         """The current pruning floor: ``δ``, raised by the shared incumbent pool."""
         if self.pool is None:
             return self.delta
-        floor = self.pool.floor()
+        floor = self.pool.floor() - _TIE_SLACK
         return floor if floor > self.delta else self.delta
 
     def admit(self, bound: float, result: GenerationResult) -> bool:
         """Decide whether a partial mapping with this bound is worth expanding.
 
-        The cut is strict (``bound < floor`` prunes) so mappings tied with the
-        incumbent floor are never lost.
+        The cut is strict (``bound < floor - _TIE_SLACK`` prunes) so mappings
+        tied with the incumbent floor are never lost.
         """
         if bound < self.delta:
             result.counters.increment("pruned_partial_mappings")
             return False
-        if self.pool is not None and bound < self.pool.floor():
+        if self.pool is not None and bound < self.pool.floor() - _TIE_SLACK:
             result.counters.increment("pruned_partial_mappings")
             result.counters.increment("incumbent_pruned_partial_mappings")
             return False

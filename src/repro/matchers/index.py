@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.matchers.string_metrics import _ngrams, edit_budget
@@ -225,49 +225,6 @@ class RepositoryNameIndex:
             cache[key] = index
         return index
 
-    @classmethod
-    def from_serialized(
-        cls,
-        repository: SchemaRepository,
-        case_sensitive: bool,
-        keys: List[str],
-        node_name_ids: Sequence[int],
-    ) -> "RepositoryNameIndex":
-        """Rebuild an index from its snapshot payload without scanning names.
-
-        ``node_name_ids`` holds one name id per repository node in global-id
-        order (the shape written by :mod:`repro.service.snapshot`), so the
-        per-name ref lists fall out of a single pass over the repository's
-        node refs — no name folding, no dict probing, and the global-id
-        ordering within each list holds by construction.  Blocking structures
-        stay lazy unless the snapshot installs them too.
-        """
-        if len(node_name_ids) != repository.node_count:
-            raise ValueError(
-                f"serialized name index covers {len(node_name_ids)} nodes but repository "
-                f"{repository.name!r} has {repository.node_count}"
-            )
-        if node_name_ids and not 0 <= min(node_name_ids) <= max(node_name_ids) < len(keys):
-            # A corrupt payload must fail loudly — negative ids would silently
-            # file nodes under the wrong name via Python's tail indexing.
-            raise ValueError(
-                f"serialized name index references name ids outside [0, {len(keys)})"
-            )
-        clone = cls.__new__(cls)
-        clone.case_sensitive = case_sensitive
-        clone.version = next(_VERSION_COUNTER)
-        clone.repository_version = getattr(repository, "version", 0)
-        clone.node_count = repository.node_count
-        refs: List[List[RepositoryNodeRef]] = [[] for _ in keys]
-        for ref, name_id in zip(repository.node_refs(), node_name_ids):
-            refs[name_id].append(ref)
-        clone.keys = list(keys)
-        clone._refs = refs
-        clone._key_to_id = {key: name_id for name_id, key in enumerate(clone.keys)}
-        clone._banded_enabled = False
-        clone._reset_blocking()
-        return clone
-
     def node_name_ids(self) -> List[int]:
         """Per-node name ids in global-id order (the snapshot wire form)."""
         ids = [0] * self.node_count
@@ -283,7 +240,9 @@ class RepositoryNameIndex:
         key).  Index instances are immutable snapshots, so the table is built
         at most once; incremental clones
         (:meth:`with_tree_added` / :meth:`with_tree_removed`) start without
-        one and rebuild lazily against their own key list.
+        one and rebuild lazily against their own key list.  A frozen index
+        packs its mapped keys here too, so loading a snapshot decodes no key
+        before the first kernel call.
         """
         packed = getattr(self, "_packed_names", None)
         if packed is None:
@@ -306,21 +265,6 @@ class RepositoryNameIndex:
         if self._ids_by_length is None:
             return None
         return {"gram_counts": list(self._gram_counts), "postings": dict(self._postings)}
-
-    def install_blocking(self, gram_counts: List[int], postings: Dict[str, List[int]]) -> None:
-        """Install deserialized blocking structures (snapshot load).
-
-        The cheap length buckets are recomputed from the keys; only the
-        trigram structures — the expensive part — come from the payload.
-        """
-        if len(gram_counts) != len(self.keys):
-            raise ValueError(
-                f"blocking payload has {len(gram_counts)} gram counts for "
-                f"{len(self.keys)} names"
-            )
-        self._gram_counts = list(gram_counts)
-        self._postings = {gram: list(ids) for gram, ids in postings.items()}
-        self._rebuild_length_buckets()
 
     # -- incremental updates -----------------------------------------------------
 

@@ -6,7 +6,8 @@ package treats the repository as a long-lived, versioned asset.
 * :class:`MatchingService` — the facade: query caching, incremental
   ``add_tree``/``remove_tree``, a pluggable per-cluster task executor.
 * :mod:`repro.service.snapshot` — one-file persistence of the repository and
-  all derived state (indexes, oracles, partition).
+  all derived state (indexes, oracles, partition) as a frozen
+  :mod:`repro.storage` file, loaded in O(header) time.
 * :class:`RepositoryPartition` / :class:`PartitionClusterer` — the
   precomputable, snapshot-friendly clustering configuration.
 * :func:`schema_fingerprint` — the query-cache key.
@@ -18,27 +19,16 @@ them too); they are re-exported here for convenience.
 from repro.service.fingerprint import schema_fingerprint
 from repro.service.partition import PartitionClusterer, RepositoryPartition
 from repro.service.service import MatchingService
-from repro.service.snapshot import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    load_snapshot,
-    service_to_snapshot_dict,
-    snapshot_to_service,
-    write_snapshot,
-)
+from repro.service.snapshot import load_snapshot, write_snapshot
 from repro.utils.executor import SerialExecutor, TaskExecutor
 
 __all__ = [
     "MatchingService",
     "PartitionClusterer",
     "RepositoryPartition",
-    "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
     "SerialExecutor",
     "TaskExecutor",
     "load_snapshot",
     "schema_fingerprint",
-    "service_to_snapshot_dict",
-    "snapshot_to_service",
     "write_snapshot",
 ]

@@ -175,52 +175,6 @@ class RepositoryPartition:
         self._fragments = shift_tree_keys(self._fragments, removed_tree_id)
         self._node_fragment = shift_tree_keys(self._node_fragment, removed_tree_id)
 
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-friendly form for repository snapshots."""
-        return {
-            "max_fragment_size": self.max_fragment_size,
-            "reclustering": None if self.reclustering is None else self.reclustering.name,
-            "fragments": {
-                str(tree_id): [list(members) for members in fragments]
-                for tree_id, fragments in sorted(self._fragments.items())
-            },
-        }
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: Dict[str, object],
-        reclustering: Optional[ReclusteringStrategy] = None,
-    ) -> "RepositoryPartition":
-        """Rebuild a partition from :meth:`to_payload` output.
-
-        A snapshot records only the *name* of the reclustering strategy (the
-        strategy object holds thresholds that do not serialize generically);
-        when the snapshot names one, the caller must supply an equivalent
-        instance — loading without it would silently change how future
-        incremental updates fragment new trees.
-        """
-        recorded = payload.get("reclustering")
-        if recorded is not None and reclustering is None:
-            raise ClusteringError(
-                f"snapshot partition was built with reclustering strategy {recorded!r}; "
-                "pass an equivalent strategy via partition_reclustering to load it"
-            )
-        partition = cls(
-            max_fragment_size=int(payload["max_fragment_size"]),
-            reclustering=reclustering,
-        )
-        for tree_key, fragments in payload.get("fragments", {}).items():
-            tree_id = int(tree_key)
-            entry = [sorted(int(node_id) for node_id in members) for members in fragments]
-            partition._fragments[tree_id] = entry
-            partition._node_fragment[tree_id] = {
-                node_id: index for index, members in enumerate(entry) for node_id in members
-            }
-        return partition
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RepositoryPartition(max_fragment_size={self.max_fragment_size}, "

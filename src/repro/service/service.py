@@ -11,8 +11,8 @@ queries:
 
 * **snapshots** — :func:`repro.service.snapshot.write_snapshot` /
   :func:`~repro.service.snapshot.load_snapshot` persist the repository plus
-  every piece of built derived state, so a service process starts from one
-  file read instead of recomputing (see ``benchmarks/bench_service_query.py``
+  every piece of derived state, so a service process starts from one mapped
+  file instead of recomputing (see ``benchmarks/bench_service_query.py``
   for the cold-load vs snapshot-load numbers);
 * **incremental updates** — :meth:`add_tree` / :meth:`remove_tree` mutate the
   repository and patch only the affected index postings, oracle rows and

@@ -1,7 +1,7 @@
 """Shard-set manifests: one file tying shard snapshots + router config together.
 
-A *shard set* on disk is ``N`` ordinary service snapshot files (one per
-shard, written by :func:`repro.service.snapshot.write_snapshot`) plus one
+A *shard set* on disk is ``N`` ordinary (frozen) service snapshot files (one
+per shard, written by :func:`repro.service.snapshot.write_snapshot`) plus one
 **manifest** JSON document that makes them a unit:
 
 * the tree **assignment** (merged tree id → shard id) — the source of truth
@@ -23,14 +23,12 @@ CLI maps to clean messages and non-zero exits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ShardError, ShardManifestError
+from repro.errors import ConfigurationError, ShardError, ShardManifestError
 from repro.schema.repository import SchemaRepository
-from repro.service.fingerprint import schema_fingerprint
 from repro.service.snapshot import load_snapshot, write_snapshot
 from repro.shard.router import ShardRouter, make_router
 from repro.resilience.fanout import ResiliencePolicy
@@ -42,83 +40,42 @@ MANIFEST_VERSION = 1
 DEFAULT_MANIFEST_NAME = "manifest.json"
 
 
-def _shard_snapshot_name(shard_id: int, frozen: bool = False) -> str:
-    return f"shard-{shard_id}.snapshot.{'frozen' if frozen else 'json'}"
-
-
-def _shard_digest(repository: SchemaRepository) -> str:
-    """Content digest of a shard's forest (tree fingerprints, in order).
-
-    Tree/node *counts* alone cannot tell two shards of a balanced set apart —
-    a manifest whose snapshot paths were swapped would pass a count check and
-    silently mis-merge every ranking.  The digest folds each tree's
-    :func:`~repro.service.fingerprint.schema_fingerprint` (names, kinds,
-    datatypes, structure) in registration order, so a snapshot can only pass
-    as shard ``i`` if it holds exactly shard ``i``'s trees.
-    """
-    hasher = hashlib.sha256()
-    for tree in repository.trees():
-        hasher.update(schema_fingerprint(tree).encode("ascii"))
-    return hasher.hexdigest()[:16]
-
-
-def _loaded_shard_digest(shard) -> str:
-    """A loaded shard's forest digest, O(1) for pristine frozen snapshots.
-
-    A frozen snapshot's header records the same fingerprint fold the builder
-    computed while streaming (:class:`repro.storage.builder._FrozenWriter`
-    uses the identical recipe as :func:`_shard_digest`), so a frozen shard
-    self-certifies from its header — materializing every tree just to
-    re-derive a digest the file already carries would forfeit the O(1) open.
-    A mutated (thawed) repository no longer matches its file; it falls back
-    to the full fold, as does any JSON-loaded shard.
-    """
-    from repro.storage.frozen import FrozenRepository
-
-    repository = shard.repository
-    if type(repository) is FrozenRepository and repository.version == 0:
-        return str(repository._snapshot.header["repository"]["digest"])
-    return _shard_digest(repository)
-
-
 def write_shard_set(
     service: ShardedMatchingService,
     directory: str | Path,
     *,
     manifest_name: str = DEFAULT_MANIFEST_NAME,
     global_version: Optional[int] = None,
-    frozen: bool = False,
+    frozen: bool = True,
 ) -> Dict[str, Any]:
     """Persist a sharded service: one snapshot per shard plus the manifest.
 
     ``global_version`` defaults to the service's current version; rebalance
-    passes the old version + 1 so clients observe the rewrite.  With
-    ``frozen`` each shard is written as a frozen (mmap) snapshot instead of
-    JSON — :func:`load_shard_set` then opens each shard in O(header) time.
-    Returns the manifest document.  Writes the shard snapshots first and the
-    manifest last (itself atomically, temp file + rename like the snapshots),
-    so a crash at any point never leaves a manifest naming missing files and
-    never truncates an existing good manifest.
+    passes the old version + 1 so clients observe the rewrite.  Every shard
+    is a frozen snapshot, so :func:`load_shard_set` opens each one in
+    O(header) time; ``frozen`` only accepts ``True``, the one carrier there
+    is.  Returns the manifest document.  Writes the shard snapshots first and
+    the manifest last (itself atomically, temp file + rename like the
+    snapshots), so a crash at any point never leaves a manifest naming
+    missing files and never truncates an existing good manifest.
     """
+    if frozen is not True:
+        raise ConfigurationError(
+            "shard snapshots are always frozen files; write_shard_set(frozen=False) "
+            "has no other carrier to write"
+        )
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     shards_entry: List[Dict[str, Any]] = []
     for shard_id, shard in enumerate(service.shards):
-        snapshot_name = _shard_snapshot_name(shard_id, frozen=frozen)
-        if frozen:
-            from repro.storage.builder import freeze_service
-
-            header = freeze_service(shard, target / snapshot_name)
-            digest = str(header["repository"]["digest"])
-        else:
-            write_snapshot(shard, target / snapshot_name)
-            digest = _shard_digest(shard.repository)
+        snapshot_name = f"shard-{shard_id}.snapshot.frozen"
+        header = write_snapshot(shard, target / snapshot_name)
         shards_entry.append(
             {
                 "path": snapshot_name,
                 "trees": shard.repository.tree_count,
                 "nodes": shard.repository.node_count,
-                "digest": digest,
+                "digest": str(header["repository"]["digest"]),
             }
         )
     manifest = {
@@ -226,10 +183,14 @@ def load_shard_set(
         shard = load_snapshot(
             snapshot_path, query_cache_size=query_cache_size, **snapshot_overrides
         )
+        # Counts cannot tell two shards of a balanced set apart, so a manifest
+        # whose paths were swapped would pass them and mis-merge every
+        # ranking.  The digest folds every tree's schema fingerprint in order;
+        # the writer records it in the header, so checking it reads no tree.
         for field, actual in (
             ("trees", shard.repository.tree_count),
             ("nodes", shard.repository.node_count),
-            ("digest", _loaded_shard_digest(shard)),
+            ("digest", shard.repository._snapshot.header["repository"]["digest"]),
         ):
             declared = entry.get(field)
             if declared is not None and (
@@ -272,7 +233,6 @@ def rebalance_shard_set(
     router: Optional[ShardRouter] = None,
     out_directory: Optional[str | Path] = None,
     manifest_name: str = DEFAULT_MANIFEST_NAME,
-    frozen: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Re-split an existing shard set with a new shard count and/or router.
 
@@ -288,12 +248,6 @@ def rebalance_shard_set(
     harmless.  Returns the new manifest document.
     """
     manifest_file = Path(manifest_path)
-    payload = load_manifest(manifest_file)
-    if frozen is None:
-        # Preserve the set's carrier: frozen in, frozen out.
-        frozen = any(
-            str(entry.get("path", "")).endswith(".frozen") for entry in payload["shards"]
-        )
     service = load_shard_set(manifest_file)
     new_router = router or service.router
     new_count = service.shard_count if shard_count is None else shard_count
@@ -319,5 +273,4 @@ def rebalance_shard_set(
         target,
         manifest_name=manifest_name,
         global_version=service.global_version + 1,
-        frozen=frozen,
     )

@@ -1,15 +1,9 @@
 """Streaming builders for frozen snapshots.
 
-Three entry points, all writing through :class:`_FrozenWriter`:
+Two entry points write through :class:`_FrozenWriter`:
 
-* :func:`freeze_service` — persist a live service (the frozen sibling of
-  :func:`repro.service.snapshot.write_snapshot`);
-* :func:`freeze_snapshot_file` — convert a JSON snapshot file, streaming one
-  tree at a time (the JSON document is parsed once, but trees, oracles and
-  fragments are decoded, folded into the writer's flat arrays and dropped
-  individually — no :class:`~repro.schema.SchemaRepository` and no second copy
-  of the forest ever exists in memory);
-* :func:`compact_frozen` — merge mutations (added / removed trees) into a new
+* :func:`repro.service.snapshot.write_snapshot` persists a live service;
+* :func:`compact_frozen` merges mutations (added / removed trees) into a new
   frozen generation, copying the surviving trees' oracle and partition
   segments slice-for-slice out of the source mapping without decoding them.
 
@@ -30,18 +24,10 @@ from repro.errors import ClusteringError, ReproError
 from repro.labeling.distance import TreeDistanceOracle
 from repro.matchers.string_metrics import _ngrams
 from repro.schema.repository import SchemaRepository
-from repro.schema.serialization import _FORMAT_VERSION, tree_from_dict
 from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import schema_fingerprint
 from repro.service.partition import RepositoryPartition
-from repro.service.snapshot import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    _unpack_ints,
-    _unpack_oracle,
-    _unpack_partition,
-)
-from repro.storage.format import SegmentWriter, is_frozen_file, open_frozen
+from repro.storage.format import SegmentWriter, open_frozen
 
 #: Trigram size used for index posting segments; must match
 #: :attr:`repro.matchers.index.RepositoryNameIndex.gram_size`.
@@ -54,9 +40,9 @@ class _FrozenWriter:
     ``docs/ARCHITECTURE.md``).
 
     ``add_tree`` is strictly streaming: it folds one tree's structure into the
-    growing arrays and keeps no reference to the tree.  Oracle payloads and
-    fragment lists are optional per tree — when omitted they are built from
-    the tree itself, so every frozen file is *complete* (the frozen loader
+    growing arrays and keeps no reference to the tree.  An omitted oracle
+    payload is built from the tree itself and a declared partition takes
+    every tree's fragments, so every frozen file is *complete* (the loader
     never rebuilds derived state).
     """
 
@@ -120,10 +106,9 @@ class _FrozenWriter:
 
         ``oracle_payload`` is a :meth:`TreeDistanceOracle.to_payload`-shaped
         dict, with either ``rmq_levels`` (list of level rows) or ``rmq_flat``
-        (levels from 1 up pre-flattened, the on-disk shape).  ``fragments`` is
-        the tree's fragment list; both are computed from the tree when absent
-        (fragments only when a partition was declared via
-        :meth:`set_partition`).
+        (levels from 1 up pre-flattened, the on-disk shape), computed from the
+        tree when absent.  ``fragments`` is the tree's fragment list, required
+        once a partition was declared via :meth:`set_partition`.
         """
         tree_id = len(self._tree_sizes)
         size = tree.node_count
@@ -171,17 +156,13 @@ class _FrozenWriter:
         self._rmq_offsets.append(len(self._rmq_values))
 
         if self._partition_meta is not None:
-            if fragments is None:
-                fragments = _fragment_single_tree(
-                    tree, self._partition_meta["max_fragment_size"]
-                )
             for members in fragments:
                 self._members.extend(members)
                 self._member_offsets.append(len(self._members))
             self._frag_offsets.append(len(self._member_offsets) - 1)
 
-        # Same fold as shard/manifest._shard_digest, so a frozen shard file
-        # self-certifies against the manifest without materializing a tree.
+        # The fold of every tree's schema fingerprint, in order: a shard file
+        # self-certifies against its manifest without materializing a tree.
         self._digest.update(schema_fingerprint(tree).encode("ascii"))
         self._total_nodes += size
         self._largest_tree = max(self._largest_tree, size)
@@ -391,168 +372,7 @@ def _fragment_single_tree(
         tree.tree_id = original_id
 
 
-# -- public entry points -------------------------------------------------------
-
-
-def freeze_service(service, path: str | Path, build: bool = True) -> Dict[str, Any]:
-    """Freeze a live :class:`~repro.service.MatchingService` to ``path``.
-
-    With ``build`` (the default) all derived state is materialized first so
-    the frozen file is complete.  Returns the written header document.
-    """
-    if build:
-        service.build_derived_state()
-    repository = service.repository
-    writer = _FrozenWriter(repository.name)
-    writer.set_config(
-        {
-            "element_threshold": service.element_threshold,
-            "delta": service.delta,
-            "variant": service.variant_name,
-            "matcher": _service_matcher_config(service),
-            "use_batch_matching": service.system.use_batch_matching,
-            "query_cache_size": service.query_cache_size,
-        }
-    )
-    partition = service.partition
-    if partition is not None:
-        writer.set_partition(
-            partition.max_fragment_size,
-            None if partition.reclustering is None else partition.reclustering.name,
-        )
-    oracle = service.oracle
-    for tree in repository.trees():
-        tree_id = tree.tree_id
-        writer.add_tree(
-            tree,
-            oracle_payload=oracle.oracle(tree_id).to_payload(),
-            fragments=(
-                partition.fragments_for(repository, tree_id, oracle)
-                if partition is not None
-                else None
-            ),
-        )
-    indexes = repository.cached_name_indexes()
-    for index in indexes.values():
-        index.ensure_blocking()
-        blocking = index.blocking_payload()
-        writer.add_index(
-            index.case_sensitive,
-            list(index.keys),
-            index.node_name_ids(),
-            gram_counts=None if blocking is None else blocking["gram_counts"],
-            postings=None if blocking is None else blocking["postings"],
-        )
-    if not indexes:
-        # No index was ever built (e.g. a non-batch matcher with build=False);
-        # synthesize the matcher's case mode so frozen opens stay O(header).
-        writer.add_index_from_forest(
-            bool(getattr(service.matcher, "case_sensitive", True))
-        )
-    return writer.write(path)
-
-
-def _service_matcher_config(service):
-    from repro.service.snapshot import _matcher_config
-
-    return _matcher_config(service.matcher)
-
-
-def freeze_snapshot_file(source: str | Path, destination: str | Path) -> Dict[str, Any]:
-    """Convert a JSON service snapshot into a frozen snapshot, streaming.
-
-    The JSON document is parsed once; trees are then materialized, folded and
-    dropped one at a time.  Derived state present in the snapshot (oracles,
-    partition fragments, name indexes) is transcoded directly; missing pieces
-    are built per tree.  Returns the written header document.
-    """
-    source_path = Path(source)
-    if is_frozen_file(source_path):
-        raise ReproError(f"{source_path} is already a frozen snapshot")
-    try:
-        payload = json.loads(source_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ReproError(f"cannot read snapshot {source_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"snapshot {source_path} is not valid JSON: {exc}") from exc
-    if payload.get("format") != SNAPSHOT_FORMAT:
-        raise ReproError(f"not a service snapshot (format={payload.get('format')!r})")
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise ReproError(
-            f"unsupported snapshot version {payload.get('version')!r} "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-    repository_payload = payload.get("repository", {})
-    if repository_payload.get("version") != _FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported repository payload version {repository_payload.get('version')!r}"
-        )
-    config = payload.get("config", {})
-    writer = _FrozenWriter(repository_payload.get("name", "repository"))
-    writer.set_config(config)
-    partition_doc = payload.get("partition")
-    if partition_doc is not None:
-        partition_doc = _unpack_partition(partition_doc)
-        writer.set_partition(
-            partition_doc["max_fragment_size"], partition_doc.get("reclustering")
-        )
-    oracles = payload.get("oracles", {})
-    for tree_id, tree_payload in enumerate(repository_payload.get("trees", [])):
-        tree = tree_from_dict(tree_payload)
-        packed_oracle = oracles.get(str(tree_id))
-        fragments = None
-        if partition_doc is not None:
-            fragments = partition_doc["fragments"].get(str(tree_id))
-            if fragments is None:
-                recorded = partition_doc.get("reclustering")
-                if recorded is not None:
-                    raise ReproError(
-                        f"snapshot partition uses reclustering strategy {recorded!r} but "
-                        f"records no fragments for tree {tree_id}; freeze from a snapshot "
-                        "written with build=True"
-                    )
-                fragments = _fragment_single_tree(
-                    tree, partition_doc["max_fragment_size"]
-                )
-        writer.add_tree(
-            tree,
-            oracle_payload=(
-                None if packed_oracle is None else _unpack_oracle(packed_oracle)
-            ),
-            fragments=fragments,
-        )
-    entries = payload.get("name_indexes", [])
-    for entry in entries:
-        blocking = entry.get("blocking")
-        postings = None
-        gram_counts = None
-        if blocking is not None:
-            sizes = _unpack_ints(blocking["posting_sizes"])
-            flat = _unpack_ints(blocking["posting_values"])
-            postings = {}
-            position = 0
-            for gram, size in zip(blocking["grams"], sizes):
-                postings[gram] = flat[position : position + size]
-                position += size
-            gram_counts = _unpack_ints(blocking["gram_counts"])
-        writer.add_index(
-            bool(entry["case_sensitive"]),
-            list(entry["keys"]),
-            _unpack_ints(entry["node_name_ids"]),
-            gram_counts=gram_counts,
-            postings=postings,
-        )
-    if not entries:
-        matcher_config = config.get("matcher")
-        if matcher_config is not None:
-            kind = matcher_config.get("type")
-            case_sensitive = (
-                True
-                if kind == "token-name"
-                else bool(matcher_config.get("case_sensitive", False))
-            )
-            writer.add_index_from_forest(case_sensitive)
-    return writer.write(destination)
+# -- compaction ----------------------------------------------------------------
 
 
 def compact_frozen(

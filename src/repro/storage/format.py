@@ -1,8 +1,7 @@
 """The frozen snapshot container: segmented, versioned, loaded by ``mmap``.
 
-A frozen snapshot is the second carrier of the service-snapshot document
-family (after base64-JSON files): the same logical content — forest
-structure, name tables, Euler tours, sparse-table rows, posting lists —
+A frozen snapshot is the on-disk form of a service snapshot: forest
+structure, name tables, Euler tours, sparse-table rows and posting lists,
 stored as fixed-width little-endian arrays that a reader maps into its
 address space instead of parsing.  Opening one is O(header), not
 O(repository): the loader validates the preamble and the segment table,
@@ -35,20 +34,24 @@ consistent with its kind and count.  A truncated or corrupted file is
 rejected with :class:`~repro.errors.ReproError` before any view is handed
 out.
 
+A JSON service snapshot — the document earlier builds wrote — is recognized
+by its opening brace and rejected with a message that says how to rebuild
+it, so an old deployment fails loudly at its first load.
+
 Version policy
 --------------
-Mirrors the JSON snapshot's: the loader rejects any ``version`` it was not
-written for (frozen state is pure acceleration — a wrong structural guess
-would silently corrupt match results).  Adding optional header keys or new
-segments is allowed within a version; changing the meaning or layout of an
-existing segment requires a bump.
+The loader rejects any ``version`` it was not written for (frozen state is
+pure acceleration — a wrong structural guess would silently corrupt match
+results, so there is no best-effort path).  Adding optional header keys or
+new segments is allowed within a version; changing the meaning or layout of
+an existing segment requires a bump.
 
-Shared packing carrier
-----------------------
-:func:`pack_int32` / :func:`unpack_int32` are the one int32 byte codec for
-both carriers: the frozen writer packs segments with them, and the JSON
-snapshot base64-armors the same bytes, so the
-little-endian-on-disk/by-swap-on-big-endian rule lives in exactly one place.
+Int32 packing
+-------------
+:func:`pack_int32` / :func:`unpack_int32` are the one int32 byte codec: the
+writer packs segments with them and big-endian readers decode with them, so
+the little-endian-on-disk/by-swap-on-big-endian rule lives in exactly one
+place.
 """
 
 from __future__ import annotations
@@ -83,11 +86,11 @@ def _align(offset: int) -> int:
     return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
 
 
-# -- the shared int32 packing carrier ----------------------------------------
+# -- int32 packing ------------------------------------------------------------
 
 
 def pack_int32(values) -> bytes:
-    """Little-endian int32 bytes of a flat int sequence (both snapshot carriers)."""
+    """Little-endian int32 bytes of a flat int sequence."""
     buffer = array("i", values)
     if sys.byteorder == "big":  # pragma: no cover - x86/arm are little-endian
         buffer.byteswap()
@@ -188,19 +191,6 @@ class SegmentWriter:
 # -- reading ------------------------------------------------------------------
 
 
-def is_frozen_prefix(prefix: bytes) -> bool:
-    """Whether the first bytes of a file identify a frozen snapshot."""
-    return prefix[: len(FROZEN_MAGIC)] == FROZEN_MAGIC
-
-
-def is_frozen_file(path: str | Path) -> bool:
-    try:
-        with open(path, "rb") as stream:
-            return is_frozen_prefix(stream.read(len(FROZEN_MAGIC)))
-    except OSError:
-        return False
-
-
 class FrozenSnapshot:
     """A validated, memory-mapped frozen snapshot.
 
@@ -241,6 +231,12 @@ class FrozenSnapshot:
     def _validate(self) -> Dict[str, Any]:
         size = len(self._view)
         magic, container_version, header_length = _PREAMBLE.unpack_from(self._view, 0)
+        if magic.lstrip().startswith(b"{"):
+            raise ReproError(
+                f"{self.source_path} is a JSON service snapshot, which this build no "
+                "longer reads; rebuild it from the repository with `cli snapshot` "
+                "(a shard set with `cli shard split`)"
+            )
         if magic != FROZEN_MAGIC:
             raise ReproError(
                 f"{self.source_path} is not a frozen snapshot (bad magic {magic!r})"

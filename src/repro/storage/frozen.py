@@ -1,11 +1,11 @@
 """Zero-copy service views over a frozen snapshot.
 
-:func:`load_frozen_service` returns a ready
-:class:`~repro.service.MatchingService` in O(header) time regardless of
+:func:`repro.service.snapshot.load_snapshot` assembles these views into a
+ready :class:`~repro.service.MatchingService` in O(header) time regardless of
 repository size: every heavy structure is a *view* class that satisfies the
-same sequence contracts as its JSON-loaded counterpart but reads straight from
-the snapshot's ``mmap`` segments and materializes Python objects per tree / per
-name / per gram, on first touch only.
+same sequence contracts as the in-memory structure it stands for but reads
+straight from the snapshot's ``mmap`` segments and materializes Python
+objects per tree / per name / per gram, on first touch only.
 
 * :class:`FrozenRepository` — a :class:`~repro.schema.repository.SchemaRepository`
   whose tree list decodes lazily (``locate``/``tree_offset`` run on the mapped
@@ -25,8 +25,9 @@ affected structure into its plain in-memory form (the repository materializes
 every tree and literally becomes a ``SchemaRepository``; indexes materialize
 and delegate to the copy-on-write incremental constructors; the partition
 materializes its frozen entries before re-keying).  Results after a mutation
-are therefore identical to mutating a JSON-loaded service — the frozen layer
-only changes *when* objects get built, never what they contain.
+are therefore identical to mutating the in-memory service the file was
+written from — the frozen layer only changes *when* objects get built, never
+what they contain.
 """
 
 from __future__ import annotations
@@ -36,19 +37,15 @@ import threading
 from bisect import bisect_right
 from typing import Any, Dict, List, Optional
 
-from repro.errors import (
-    ClusteringError,
-    ConfigurationError,
-    UnknownTreeError,
-)
+from repro.errors import UnknownTreeError
 from repro.labeling.distance import RepositoryDistanceOracle, TreeDistanceOracle
 from repro.matchers.index import _VERSION_COUNTER, RepositoryNameIndex
 from repro.schema.node import SchemaNode
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.serialization import _DATATYPE_BY_VALUE, _KIND_BY_VALUE
 from repro.schema.tree import SchemaTree
-from repro.service.partition import PartitionClusterer, RepositoryPartition
-from repro.storage.format import FrozenSnapshot, open_frozen
+from repro.service.partition import RepositoryPartition
+from repro.storage.format import FrozenSnapshot
 
 
 class LazyStringTable:
@@ -200,7 +197,7 @@ class FrozenRepository(SchemaRepository):
     construction path as :func:`repro.schema.serialization.tree_from_dict`).
     The first mutation thaws the whole forest and switches the instance's
     class to plain :class:`SchemaRepository` — after that the object is
-    indistinguishable from a JSON-loaded repository.
+    indistinguishable from an in-memory repository.
     """
 
     def __init__(self, snapshot: FrozenSnapshot) -> None:
@@ -317,12 +314,14 @@ class FrozenNameIndex(RepositoryNameIndex):
     per-node name-id array are all mapped views decoded on first touch.  The
     banded candidate path is enabled — the posting lists this index answers
     from are exactly the segments the banded scan needs, so queries against a
-    large frozen repository stay sublinear in the unique-name count.
+    large frozen repository stay sublinear in the unique-name count.  The
+    vectorized kernel's code-point matrix is packed from the keys by the
+    inherited :meth:`packed_name_table` on its first call, not at open.
 
     Incremental updates (:meth:`with_tree_added` / :meth:`with_tree_removed`)
     materialize a plain :class:`RepositoryNameIndex` and delegate to its
     copy-on-write constructors, so a mutated frozen service maintains its
-    indexes exactly like a JSON-loaded one.
+    indexes exactly like an in-memory one.
     """
 
     def __init__(self, snapshot: FrozenSnapshot, position: int) -> None:
@@ -373,13 +372,6 @@ class FrozenNameIndex(RepositoryNameIndex):
 
     def node_name_ids(self):
         return self._node_name_ids
-
-    def packed_name_table(self):
-        # Building the kernel's code-point matrix would decode and copy every
-        # key — exactly the O(names) cost a frozen open avoids.  Declining is
-        # loss-free: the scalar loop is bit-identical to the kernel (pinned by
-        # tests/kernels) and the banded scan keeps survivor sets small.
-        return None
 
     def _gram_id(self, gram: str) -> Optional[int]:
         """Binary search in the sorted on-disk gram table (no full decode)."""
@@ -440,9 +432,6 @@ class FrozenNameIndex(RepositoryNameIndex):
             postings[table[gram_id]] = list(self._posting_view(gram_id))
         return {"gram_counts": list(self._gram_counts_view), "postings": postings}
 
-    def install_blocking(self, gram_counts, postings) -> None:  # pragma: no cover
-        raise ConfigurationError("a frozen name index already carries its blocking segments")
-
     # -- banded hooks (same algorithm, mmap-backed data) -----------------------
 
     def _banded_prepare(self) -> None:
@@ -493,8 +482,8 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
     """Per-tree distance oracles re-sliced from frozen tour/sparse segments.
 
     ``oracle(tree_id)`` decodes the tree's Euler tour, first-occurrence row
-    and sparse-table levels as zero-copy slices (the flat layout mirrors the
-    JSON snapshot's ``_pack_oracle``) while the repository is pristine
+    and sparse-table levels as zero-copy slices (sparse-table levels from 1
+    up are stored back to back per tree) while the repository is pristine
     (version 0); trees added later — possible after a thaw — fall through to
     the normal lazy build.  Removals shift tree ids, so the mutation path
     never reaches the frozen decode: the version gate closes first.
@@ -603,99 +592,3 @@ class FrozenPartition(RepositoryPartition):
         # before the re-keying shifts the id space out from under the CSR.
         self._materialize_frozen()
         super().on_tree_removed(removed_tree_id)
-
-    def to_payload(self) -> Dict[str, object]:
-        # The base method serializes the materialized dict only; decode the
-        # frozen remainder first so snapshots written from a frozen service
-        # are as complete as the source file.
-        if self._frozen_active:
-            for tree_id in range(self._frozen_tree_count):
-                if tree_id not in self._fragments:
-                    self._decode_frozen_tree(tree_id)
-        return super().to_payload()
-
-
-# -- service assembly ----------------------------------------------------------
-
-
-def load_frozen_service(
-    source,
-    *,
-    matcher=None,
-    objective=None,
-    generator=None,
-    clusterer=None,
-    executor=None,
-    partition_reclustering=None,
-    query_cache_size: Optional[int] = None,
-):
-    """A ready :class:`~repro.service.MatchingService` over a frozen snapshot.
-
-    O(header) regardless of repository size: the repository, name indexes,
-    distance oracle and partition are all frozen views.  The keyword overrides
-    mirror :func:`repro.service.snapshot.load_snapshot` exactly — which also
-    dispatches here when handed a frozen file, so callers never need to know
-    which carrier a snapshot uses (``query_cache_size`` replaces the recorded
-    result-cache capacity).
-
-    Given a path, each call maps the file anew and builds a fresh object
-    graph, so two loaded services never observe each other's thaws and a
-    replaced file is read at its current generation.  The mapping and its
-    file descriptor live as long as the service's views reference them.
-    """
-    from repro.service.service import MatchingService
-    from repro.service.snapshot import _matcher_from_config
-
-    snapshot = source if isinstance(source, FrozenSnapshot) else open_frozen(source)
-    header = snapshot.header
-    config = header.get("config", {})
-    repository = FrozenRepository(snapshot)
-    if matcher is None:
-        matcher = _matcher_from_config(config.get("matcher"))
-
-    variant = config.get("variant")
-    kwargs: Dict[str, Any] = {}
-    if clusterer is not None:
-        kwargs["clusterer"] = clusterer
-    elif variant == PartitionClusterer.name:
-        partition_meta = header.get("partition")
-        if partition_meta is not None:
-            recorded = partition_meta.get("reclustering")
-            if recorded is not None and partition_reclustering is None:
-                raise ClusteringError(
-                    f"frozen partition was built with reclustering strategy {recorded!r}; "
-                    "pass an equivalent strategy via partition_reclustering to load it"
-                )
-            kwargs["clusterer"] = PartitionClusterer(
-                FrozenPartition(snapshot, reclustering=partition_reclustering)
-            )
-    elif variant is not None:
-        kwargs["variant"] = variant
-    else:
-        raise ConfigurationError(
-            "frozen snapshot was written with a custom clusterer; pass clusterer= to load it"
-        )
-
-    service = MatchingService(
-        repository,
-        matcher=matcher,
-        objective=objective,
-        generator=generator,
-        element_threshold=float(config.get("element_threshold", 0.6)),
-        delta=float(config.get("delta", 0.75)),
-        use_batch_matching=config.get("use_batch_matching"),
-        executor=executor,
-        query_cache_size=(
-            int(config.get("query_cache_size", 64))
-            if query_cache_size is None
-            else query_cache_size
-        ),
-        **kwargs,
-    )
-    # The pipeline builds a plain lazy oracle in its constructor; swap in the
-    # frozen one before anything queries it (Bellflower reads ``self.oracle``
-    # at call time only).
-    service._system.oracle = FrozenRepositoryDistanceOracle(snapshot, repository)
-    for position in range(len(header.get("indexes", []))):
-        repository.install_name_index(FrozenNameIndex(snapshot, position))
-    return service

@@ -79,11 +79,11 @@ class TestFullRun:
         ).read_bytes()
 
     def test_snapshot_is_loadable_and_queryable(self, tmp_path, corpus_dir):
-        from repro.storage import load_frozen_service
+        from repro.service import load_snapshot
         from repro.workload.personal import book_personal_schema
 
         _, status = run_pipeline(tmp_path / "run", corpus_dir)
-        service = load_frozen_service(status["snapshot"]["path"])
+        service = load_snapshot(status["snapshot"]["path"])
         result = service.match(book_personal_schema())
         assert result.mappings, "bundled corpus must yield mappings for the book schema"
 

@@ -6,6 +6,7 @@ outputs transitively)."""
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
@@ -135,6 +136,23 @@ class TestTopKSearch:
         # The pre-seeded floor prunes at least as hard as a cold search.
         cold_counters = _cold_top1_counters(small_problem, generator)
         assert shared.partial_mappings <= cold_counters["partial_mappings"]
+
+    @pytest.mark.parametrize(
+        "generator", [BranchAndBoundGenerator(), AStarGenerator()], ids=["bnb", "astar"]
+    )
+    def test_a_floor_one_ulp_above_the_bound_keeps_the_tie(self, small_problem, generator):
+        # The bound and the realized score are different float expressions, so
+        # a tied incumbent can read an ulp above the branch bound of the very
+        # mapping it ties with; that branch must survive the cut.
+        complete = generator.generate(small_problem)
+        pool = TopKPool(1)
+        pool.offer(math.nextafter(complete.mappings[0].score, 2.0))
+        small_problem.top_k = 1
+        small_problem.shared_pool = pool
+        shared = generator.generate(small_problem)
+        small_problem.top_k = None
+        small_problem.shared_pool = None
+        assert ranked(shared) == ranked(complete)[:1]
 
     def test_preseeded_floor_triggers_incumbent_pruning(self, small_problem):
         generator = BranchAndBoundGenerator()

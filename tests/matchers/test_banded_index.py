@@ -14,7 +14,7 @@ import pytest
 from repro.matchers.index import RepositoryNameIndex
 from repro.service import load_snapshot, write_snapshot
 from repro.service.service import MatchingService
-from repro.storage import FrozenNameIndex, freeze_service
+from repro.storage import FrozenNameIndex
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
 #: Low thresholds where the length bound does the pruning, mid thresholds
@@ -100,12 +100,11 @@ class TestLosslessness:
 class TestFrozenIndexParity:
     @pytest.fixture(scope="class")
     def index_pair(self, repository, tmp_path_factory):
-        """The same repository's index via JSON-load and via the frozen mmap."""
+        """The index of the service a snapshot was written from, and its frozen mmap."""
         target = tmp_path_factory.mktemp("banded")
         service = MatchingService(repository)
-        write_snapshot(service, target / "snap.json")
-        freeze_service(service, target / "snap.frozen")
-        plain = load_snapshot(target / "snap.json").repository.name_index()
+        write_snapshot(service, target / "snap.frozen")
+        plain = service.repository.name_index()
         frozen = load_snapshot(target / "snap.frozen").repository.name_index()
         assert type(frozen) is FrozenNameIndex
         return plain, frozen

@@ -1,7 +1,7 @@
 """The per-cluster task seam through every entry point that accepts ``executor=``.
 
-Queries run serially, but ``Bellflower``, ``MatchingService``,
-``load_snapshot`` (JSON and frozen) and ``load_frozen_service`` still hand
+Queries run serially, but ``Bellflower``, ``MatchingService`` and
+``load_snapshot`` (as loaded, and after a mutation thawed it) still hand
 their per-cluster searches to a :class:`~repro.utils.executor.TaskExecutor`
 when given one: that is where ``query|serve --snapshot --fault-plan`` injects
 faults.  Each test runs once per entry point and pins that the seam sees one
@@ -17,7 +17,6 @@ import pytest
 from repro.errors import InjectedFaultError
 from repro.resilience import ChaosExecutor, FaultInjector, FaultPlan, FaultSpec
 from repro.service import MatchingService, load_snapshot, write_snapshot
-from repro.storage import freeze_service, load_frozen_service
 from repro.system.bellflower import Bellflower
 from repro.utils.executor import DelegatingExecutor, SerialExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
@@ -25,12 +24,12 @@ from repro.workload.personal import paper_personal_schema
 
 from _equivalence import counters_key, path_records_key, result_key
 
-ENTRY_POINTS = ("bellflower", "service", "json-snapshot", "frozen-snapshot", "frozen-service")
+ENTRY_POINTS = ("bellflower", "service", "snapshot", "thawed-snapshot")
 
 
 @pytest.fixture(scope="module")
 def seam_files(tmp_path_factory):
-    """A small repository plus its JSON and frozen snapshots."""
+    """A small repository plus its snapshot."""
     target = tmp_path_factory.mktemp("seam")
     repository = RepositoryGenerator(
         RepositoryProfile(
@@ -38,8 +37,7 @@ def seam_files(tmp_path_factory):
         )
     ).generate()
     service = MatchingService(repository, element_threshold=0.5)
-    write_snapshot(service, target / "snap.json")
-    freeze_service(service, target / "snap.frozen")
+    write_snapshot(service, target / "snap.frozen")
     return repository, target
 
 
@@ -52,12 +50,13 @@ def build(entry, seam_files, executor=None):
         return MatchingService(
             repository, element_threshold=0.5, executor=executor, query_cache_size=0
         )
-    if entry == "json-snapshot":
-        return load_snapshot(target / "snap.json", executor=executor, query_cache_size=0)
-    if entry == "frozen-snapshot":
-        return load_snapshot(target / "snap.frozen", executor=executor, query_cache_size=0)
-    assert entry == "frozen-service"
-    return load_frozen_service(target / "snap.frozen", executor=executor, query_cache_size=0)
+    loaded = load_snapshot(target / "snap.frozen", executor=executor, query_cache_size=0)
+    if entry == "thawed-snapshot":
+        # Removing the last tree thaws the frozen views into in-memory ones.
+        loaded.remove_tree(loaded.repository.tree_count - 1)
+    else:
+        assert entry == "snapshot"
+    return loaded
 
 
 def answer_key(result):

@@ -4,8 +4,7 @@ Stage 3 divides the candidate table among all clusters in one pass
 (:func:`repro.clustering.cluster.split_candidates`).  The per-cluster
 ``MappingElementSets.restrict_to_refs`` scan it replaced stays as the
 single-cluster path, so these tests patch it to raise and answer a query
-through the two served carriers: a JSON-snapshot service and a frozen shard
-set.  A serving path that falls back to one scan per cluster fails here.
+through the two served shapes: a snapshot-loaded service and a shard set.  A serving path that falls back to one scan per cluster fails here.
 """
 
 from __future__ import annotations
@@ -34,12 +33,13 @@ def forbid_per_cluster_scans(monkeypatch):
     monkeypatch.setattr(MappingElementSets, "restrict_to_refs", scan)
 
 
-def test_json_snapshot_service_splits_candidates_once(repository, tmp_path, monkeypatch):
-    write_snapshot(MatchingService(repository), tmp_path / "snap.json")
-    expected = load_snapshot(tmp_path / "snap.json").match(paper_personal_schema())
+def test_snapshot_service_splits_candidates_once(repository, tmp_path, monkeypatch):
+    written = MatchingService(repository)
+    write_snapshot(written, tmp_path / "snap.frozen")
+    expected = written.match(paper_personal_schema())
     assert expected.useful_cluster_count > 0 and expected.mappings
 
-    served = load_snapshot(tmp_path / "snap.json")
+    served = load_snapshot(tmp_path / "snap.frozen")
     forbid_per_cluster_scans(monkeypatch)
     answer = served.match(paper_personal_schema())
     assert answer.ranking_key() == expected.ranking_key()
@@ -47,8 +47,9 @@ def test_json_snapshot_service_splits_candidates_once(repository, tmp_path, monk
 
 
 def test_frozen_shard_set_splits_candidates_once(repository, tmp_path, monkeypatch):
-    write_shard_set(ShardedMatchingService.from_repository(repository, 2), tmp_path, frozen=True)
-    expected = load_shard_set(tmp_path / "manifest.json").match(paper_personal_schema())
+    written = ShardedMatchingService.from_repository(repository, 2)
+    write_shard_set(written, tmp_path, frozen=True)
+    expected = written.match(paper_personal_schema())
     assert expected.useful_cluster_count > 0 and expected.mappings
 
     served = load_shard_set(tmp_path / "manifest.json")

@@ -73,14 +73,13 @@ class TestRoundTrip:
         assert service.query_cache_size == 0
         assert all(shard.query_cache_size == 0 for shard in service.shards)
 
-    @pytest.mark.parametrize("frozen", [False, True], ids=["json", "frozen"])
     def test_loaded_set_keeps_the_front_end_capacity_it_was_split_with(
-        self, tmp_path, shard_repository, frozen
+        self, tmp_path, shard_repository
     ):
         service = ShardedMatchingService.from_repository(
             shard_repository, 2, element_threshold=THRESHOLD, query_cache_size=5
         )
-        write_shard_set(service, tmp_path, frozen=frozen)
+        write_shard_set(service, tmp_path)
         loaded = load_shard_set(tmp_path / "manifest.json")
         assert loaded.query_cache_size == 5
         assert loaded.stats()["query_cache_capacity"] == 5
@@ -187,8 +186,8 @@ class TestMalformedManifests:
             load_shard_set(shard_set)
 
     def test_missing_snapshot_file_is_a_typed_error(self, shard_set):
-        (shard_set.parent / "shard-1.snapshot.json").unlink()
-        with pytest.raises(ReproError, match="cannot read snapshot"):
+        (shard_set.parent / "shard-1.snapshot.frozen").unlink()
+        with pytest.raises(ReproError, match="cannot open frozen snapshot"):
             load_shard_set(shard_set)
 
     def test_unknown_router_policy_is_a_typed_error(self, shard_set):

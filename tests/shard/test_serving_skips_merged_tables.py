@@ -4,8 +4,8 @@ No response reads a merged result's ``candidates`` or ``clustering``, so the
 shard merge leaves both to their first reader
 (:class:`repro.shard.service.MergedMatchResult`).  These tests patch the two
 deferred builders to raise and answer every kind of served request through
-:class:`~repro.api.dispatch.RequestDispatcher` on a JSON and a frozen
-two-shard set.  A serving path that builds either table answers with an
+:class:`~repro.api.dispatch.RequestDispatcher` on an in-memory and a
+frozen two-shard set.  A serving path that builds either table answers with an
 error envelope here instead of the answer an unpatched set gives.
 """
 
@@ -29,17 +29,17 @@ THRESHOLD = 0.5
 
 @pytest.fixture(scope="module")
 def shard_sets(tmp_path_factory):
-    """One two-shard set written both ways: ``json/`` and ``frozen/`` manifests."""
+    """One repository, and its two-shard set written to ``frozen/manifest.json``."""
     profile = RepositoryProfile(
         target_node_count=800, min_tree_size=10, max_tree_size=60, seed=11, name="deferred"
     )
+    repository = RepositoryGenerator(profile).generate()
     service = ShardedMatchingService.from_repository(
-        RepositoryGenerator(profile).generate(), 2, element_threshold=THRESHOLD
+        repository, 2, element_threshold=THRESHOLD
     )
     target = tmp_path_factory.mktemp("deferred-sets")
-    write_shard_set(service, target / "json")
     write_shard_set(service, target / "frozen", frozen=True)
-    return target
+    return repository, target
 
 
 def served_requests():
@@ -73,8 +73,15 @@ def without_timings(answer):
     return answer
 
 
-def serve(manifest, requests, **load_options):
-    service = load_shard_set(manifest, **load_options)
+def serve(carrier, requests, resilience=None):
+    """Answer ``requests`` on a fresh set: split in memory, or loaded from its manifest."""
+    repository, target = carrier
+    if target is None:
+        service = ShardedMatchingService.from_repository(
+            repository, 2, element_threshold=THRESHOLD, resilience=resilience
+        )
+    else:
+        service = load_shard_set(target / "manifest.json", resilience=resilience)
     try:
         dispatcher = RequestDispatcher(service)
         answers = [without_timings(dispatcher.handle_request(request)) for request in requests]
@@ -92,9 +99,14 @@ def forbid_merged_tables(monkeypatch):
     monkeypatch.setattr(MergedMatchResult, "_merge_clustering", build)
 
 
-@pytest.mark.parametrize("carrier", ["json", "frozen"])
+def carrier_of(shard_sets, carrier):
+    repository, target = shard_sets
+    return (repository, None if carrier == "memory" else target / carrier)
+
+
+@pytest.mark.parametrize("carrier", ["memory", "frozen"])
 def test_served_answers_never_build_the_merged_tables(shard_sets, carrier, monkeypatch):
-    manifest = shard_sets / carrier / "manifest.json"
+    manifest = carrier_of(shard_sets, carrier)
     requests = served_requests()
     expected, _ = serve(manifest, requests)
     assert all(answer["kind"] in ("match_response", "batch_response") for answer in expected)
@@ -107,9 +119,9 @@ def test_served_answers_never_build_the_merged_tables(shard_sets, carrier, monke
     assert stats["duplicate_queries"] == 1
 
 
-@pytest.mark.parametrize("carrier", ["json", "frozen"])
+@pytest.mark.parametrize("carrier", ["memory", "frozen"])
 def test_a_degraded_answer_never_builds_the_merged_tables(shard_sets, carrier, monkeypatch):
-    manifest = shard_sets / carrier / "manifest.json"
+    manifest = carrier_of(shard_sets, carrier)
     requests = [MatchRequest.from_schema(paper_personal_schema(), explain=True).to_wire()]
     [expected], _ = serve(manifest, requests, resilience=dead_shard_policy())
     assert expected["degraded"] and expected["skipped_shards"] == [0]

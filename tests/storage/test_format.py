@@ -21,8 +21,6 @@ from repro.storage import (
     FROZEN_FORMAT,
     FROZEN_MAGIC,
     FROZEN_VERSION,
-    is_frozen_file,
-    is_frozen_prefix,
     open_frozen,
     pack_int32,
     unpack_int32,
@@ -132,9 +130,15 @@ class TestSegmentWriter:
 
 class TestOpenValidation:
     def test_non_frozen_file_is_rejected(self, tmp_path):
+        target = tmp_path / "notes.txt"
+        target.write_bytes(b"plain text, not a snapshot at all")
+        with pytest.raises(ReproError, match="bad magic"):
+            open_frozen(target)
+
+    def test_json_service_snapshot_is_rejected_with_a_rebuild_hint(self, tmp_path):
         target = tmp_path / "doc.json"
         target.write_bytes(b'{"format": "bellflower-service-snapshot"}')
-        with pytest.raises(ReproError, match="bad magic"):
+        with pytest.raises(ReproError, match="JSON service snapshot.*rebuild it"):
             open_frozen(target)
 
     def test_file_shorter_than_the_preamble_is_rejected(self, tmp_path):
@@ -256,21 +260,6 @@ class TestOpenValidation:
         rewrite_header(target, raw_header=b"[1, 2, 3]")
         with pytest.raises(ReproError, match="not a frozen service snapshot"):
             open_frozen(target)
-
-
-class TestSniffing:
-    def test_frozen_files_are_recognized(self, tmp_path):
-        target = tmp_path / "sample.frozen"
-        write_sample(target)
-        assert is_frozen_prefix(target.read_bytes()[:8])
-        assert is_frozen_file(target)
-
-    def test_json_and_missing_files_are_not(self, tmp_path):
-        doc = tmp_path / "doc.json"
-        doc.write_text("{}", encoding="utf-8")
-        assert not is_frozen_file(doc)
-        assert not is_frozen_file(tmp_path / "absent")
-        assert not is_frozen_prefix(b"{}")
 
 
 class TestWriteBytesAtomic:

@@ -114,7 +114,7 @@ class TestExperimentCommand:
 class TestSnapshotQueryCommands:
     @pytest.fixture
     def snapshot_path(self, tmp_path, repository_file, capsys):
-        path = tmp_path / "repo.snapshot.json"
+        path = tmp_path / "repo.snapshot.frozen"
         # The tree variant gives every query useful clusters, so task-0 exists.
         assert main(
             ["snapshot", "--repository", str(repository_file), "--variant", "tree", "--out", str(path)]
@@ -141,37 +141,38 @@ class TestSnapshotQueryCommands:
         path.write_text(json.dumps({"seed": 7, "specs": [spec]}), encoding="utf-8")
         return str(path)
 
+    def test_inspect_prints_the_header_the_snapshot_command_wrote(
+        self, tmp_path, repository_file, capsys
+    ):
+        path = tmp_path / "repo.snapshot.frozen"
+        assert main(["snapshot", "--repository", str(repository_file), "--out", str(path)]) == 0
+        written = capsys.readouterr().out
+        digest = written.rsplit("digest ", 1)[1].rstrip(")\n")
+        assert main(["snapshot", "inspect", "--snapshot", str(path)]) == 0
+        inspected = capsys.readouterr().out
+        assert inspected.startswith(f"frozen snapshot {path}")
+        assert f"digest {digest}" in inspected
+        assert "variant='partition'" in inspected
+        assert "oracle/tour_offsets" in inspected and "index0/key_blob" in inspected
+
     def test_snapshot_then_top_k_query(self, snapshot_path, capsys):
         assert self.query(snapshot_path) == 0
         output = capsys.readouterr().out
         assert "useful clusters" in output
         assert "#1 " in output
 
-    def carrier(self, snapshot_path, kind, capsys):
-        """The snapshot as written (``json``) or converted to a frozen file."""
-        if kind == "json":
-            return snapshot_path
-        path = snapshot_path.with_suffix(".frozen")
-        assert main(["snapshot", "freeze", "--snapshot", str(snapshot_path), "--out", str(path)]) == 0
-        capsys.readouterr()
-        return path
-
-    @pytest.mark.parametrize("kind", ["json", "frozen"])
-    def test_a_delay_plan_keeps_the_ranking(self, snapshot_path, kind, tmp_path, capsys):
+    def test_a_delay_plan_keeps_the_ranking(self, snapshot_path, tmp_path, capsys):
         assert self.query(snapshot_path) == 0
         expected = capsys.readouterr().out
         plan = self.write_plan(tmp_path, {"key": "task-0", "kind": "delay", "delay_ms": 5})
-        assert self.query(self.carrier(snapshot_path, kind, capsys), "--fault-plan", plan) == 0
+        assert self.query(snapshot_path, "--fault-plan", plan) == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("kind", ["json", "frozen"])
-    def test_an_error_plan_exits_with_the_injected_message(
-        self, snapshot_path, kind, tmp_path, capsys
-    ):
+    def test_an_error_plan_exits_with_the_injected_message(self, snapshot_path, tmp_path, capsys):
         plan = self.write_plan(
             tmp_path, {"key": "task-0", "kind": "error", "message": "cluster task down"}
         )
-        assert self.query(self.carrier(snapshot_path, kind, capsys), "--fault-plan", plan) == 2
+        assert self.query(snapshot_path, "--fault-plan", plan) == 2
         assert "cluster task down (key=task-0)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -211,9 +212,9 @@ class TestRemovedPoolFlags:
     @pytest.mark.parametrize(
         "command",
         [
-            ["query", "--snapshot", "snap.json", "--personal", "{}"],
-            ["serve", "--snapshot", "snap.json"],
-            ["trace", "replay", "--trace", "trace.json", "--snapshot", "snap.json"],
+            ["query", "--snapshot", "snap.frozen", "--personal", "{}"],
+            ["serve", "--snapshot", "snap.frozen"],
+            ["trace", "replay", "--trace", "trace.json", "--snapshot", "snap.frozen"],
         ],
         ids=["query", "serve", "trace-replay"],
     )
@@ -336,7 +337,7 @@ class TestServeLoop:
     ):
         from repro.service import load_snapshot, write_snapshot
 
-        snapshot_path = tmp_path / "serve.snapshot.json"
+        snapshot_path = tmp_path / "serve.snapshot.frozen"
         write_snapshot(service, snapshot_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert main(["serve", "--snapshot", str(snapshot_path)]) == 0
@@ -438,7 +439,7 @@ class TestShardCommands:
     def test_split_writes_manifest_and_snapshots(self, shard_dir):
         assert (shard_dir / "manifest.json").exists()
         for shard_id in range(3):
-            assert (shard_dir / f"shard-{shard_id}.snapshot.json").exists()
+            assert (shard_dir / f"shard-{shard_id}.snapshot.frozen").exists()
 
     def test_status_reports_the_set(self, shard_dir, capsys):
         assert main(["shard", "status", "--manifest", str(shard_dir / "manifest.json")]) == 0
@@ -455,7 +456,7 @@ class TestShardCommands:
     def test_query_against_shards_matches_snapshot_query(
         self, shard_dir, tmp_path, repository_file, capsys
     ):
-        snapshot_path = tmp_path / "whole.snapshot.json"
+        snapshot_path = tmp_path / "whole.snapshot.frozen"
         assert main(["snapshot", "--repository", str(repository_file), "--out", str(snapshot_path)]) == 0
         capsys.readouterr()
         personal = '{"person": ["name", "email"]}'
