@@ -46,26 +46,9 @@ threshold, so the batch path's surviving pairs — and, because the survivors
 are scored with the exact kernel — the resulting ``MappingElementSets`` are
 identical to the naive all-pairs loop.
 
-Banded candidate generation (sublinear scan, same losslessness)
----------------------------------------------------------------
-
-The linear prefilter still *visits* every length-compatible unique name.  The
-banded path (:meth:`RepositoryNameIndex._banded_candidates`, opt-in via
-:meth:`RepositoryNameIndex.enable_banded`, always on for frozen-snapshot
-indexes) is a prefix-filter over the same trigram postings: let ``g`` be the
-query's gram count and ``m`` the *weakest* overlap bound over every length
-that can pass the length filter (``m = g - limit_max * 2q`` with ``limit_max``
-the largest per-pair edit budget among admissible lengths — admissibility of
-lengths above the query's is monotone, so ``limit_max`` is found by a short
-upward scan).  Any name with overlap ``>= m`` must contain at least one gram
-of **any** ``g - m + 1``-subset of the query's grams (missing all of them
-caps the overlap at ``m - 1``), so the union of the ``g - m + 1`` *rarest*
-query grams' posting lists is a lossless candidate band whenever ``m >= 2``.
-Each banded candidate is then re-checked with the exact per-length bounds the
-linear scan applies, so the surviving name set — and therefore every score,
-ranking and counter downstream — is identical to the linear scan's.  When the
-bound cannot be proven useful (``m <= 1``: low thresholds, tiny queries) the
-index falls back to the linear scan unchanged.
+The scan visits every length-compatible *unique name*, so its cost is bounded
+by the repository's vocabulary, not its node count; it is the only candidate
+scan, for in-memory and frozen indexes alike.
 """
 
 from __future__ import annotations
@@ -177,7 +160,6 @@ class RepositoryNameIndex:
         self._pairs_by_length: Dict[int, int] = {}
         self._gram_counts: List[int] = []
         self._postings: Dict[str, List[int]] = {}
-        self._banded_enabled = False
 
     def _ensure_blocking(self) -> Dict[int, List[int]]:
         ids_by_length = self._ids_by_length
@@ -313,7 +295,6 @@ class RepositoryNameIndex:
         clone.keys = keys
         clone._refs = refs
         clone._key_to_id = key_to_id
-        clone._banded_enabled = getattr(self, "_banded_enabled", False)
 
         if self._ids_by_length is None:
             clone._reset_blocking()
@@ -379,7 +360,6 @@ class RepositoryNameIndex:
         clone.keys = keys
         clone._refs = refs
         clone._key_to_id = key_to_id
-        clone._banded_enabled = getattr(self, "_banded_enabled", False)
 
         if self._ids_by_length is None:
             clone._reset_blocking()
@@ -468,10 +448,6 @@ class RepositoryNameIndex:
         query_length = len(query)
         query_grams = self.query_grams(query) if threshold > 0.0 else ()
         query_gram_count = len(query_grams)
-        if getattr(self, "_banded_enabled", False) and query_gram_count:
-            banded = self._banded_candidates(query_length, query_grams, threshold)
-            if banded is not None:
-                return banded
         ids_by_length = self._ensure_blocking()
 
         survivors: List[int] = []
@@ -481,6 +457,7 @@ class RepositoryNameIndex:
         # threshold); at typical thresholds the length bound does all the
         # pruning and the overlap counts would be discarded unread.
         counts: Optional[Dict[int, int]] = None
+        fanout = self.fanout
         for length, name_ids in ids_by_length.items():
             longest = length if length > query_length else query_length
             limit = edit_budget(threshold, longest)
@@ -494,114 +471,9 @@ class RepositoryNameIndex:
                 counts_get = counts.get
                 for name_id in name_ids:
                     if counts_get(name_id, 0) < min_overlap:
-                        pruned_pairs += len(self._refs[name_id])
+                        pruned_pairs += fanout(name_id)
                     else:
                         survivors.append(name_id)
             else:
                 survivors.extend(name_ids)
         return survivors, pruned_pairs
-
-    # -- banded (prefix-filter) candidate generation ------------------------------
-
-    @property
-    def banded_enabled(self) -> bool:
-        """Whether the sublinear banded candidate path may engage."""
-        return getattr(self, "_banded_enabled", False)
-
-    def enable_banded(self) -> "RepositoryNameIndex":
-        """Opt this index into the banded candidate path (returns ``self``).
-
-        Purely an access-path switch: whenever the band bound is provable the
-        banded scan returns the exact same surviving name set (hence the same
-        scores, rankings and counters) as the linear scan, and it silently
-        falls back to the linear scan otherwise — see the module docstring's
-        losslessness argument.  Incremental clones inherit the setting.
-        """
-        self._banded_enabled = True
-        return self
-
-    # The four hooks below are the banded scan's only view of the index data,
-    # so a subclass backed by different storage (the frozen mmap index) can
-    # reuse the algorithm — and its losslessness proof — unchanged.
-
-    def _banded_prepare(self) -> None:
-        """Make postings/length structures available for the banded scan."""
-        self._ensure_blocking()
-
-    def _banded_max_key_length(self) -> int:
-        ids_by_length = self._ids_by_length
-        return max(ids_by_length) if ids_by_length else 0
-
-    def _banded_posting(self, gram: str):
-        """Posting list of one gram (any int sequence; empty for unknown)."""
-        return self._postings.get(gram, ())
-
-    def _banded_name_length(self, name_id: int) -> int:
-        return len(self.keys[name_id])
-
-    def _banded_name_grams(self, name_id: int):
-        return _ngrams(self.keys[name_id], self.gram_size)
-
-    def _banded_candidates(
-        self, query_length: int, query_grams, threshold: float
-    ) -> Optional[Tuple[List[int], int]]:
-        """Prefix-filter band scan, or ``None`` when the bound is unprovable.
-
-        Computes ``limit_max``, the largest per-pair edit budget over every
-        name length that can pass the length filter: lengths at or below the
-        query's share ``edit_budget(threshold, query_length)``, and for longer
-        lengths admissibility (``length - query_length <= edit_budget``) is
-        monotone — the budget grows by less than one per unit of length — so
-        one upward scan to the first violation finds the maximum.  With
-        ``m = g - limit_max * 2q`` at least 2, every linear-scan survivor
-        shares >= ``m`` grams with the query and is therefore found in the
-        posting lists of the ``g - m + 1`` rarest query grams; each candidate
-        is re-verified with the exact per-length bounds, so the survivor set
-        is identical to the linear scan's.  Pruned pair accounting uses the
-        identity ``sum(fanout) over all names == node_count``.
-        """
-        if threshold <= 0.0:
-            return None
-        self._banded_prepare()
-        max_length = self._banded_max_key_length()
-        if max_length <= 0:
-            return None
-        query_gram_count = len(query_grams)
-        limit_max = edit_budget(threshold, query_length)
-        length = query_length + 1
-        while length <= max_length:
-            limit = edit_budget(threshold, length)
-            if length - query_length > limit:
-                break
-            if limit > limit_max:
-                limit_max = limit
-            length += 1
-        min_required = query_gram_count - limit_max * _GRAM_SLACK_PER_EDIT
-        if min_required <= 1:
-            # m == 1 would make the band the union of *all* query grams'
-            # postings — no better than the linear overlap scan; m <= 0 means
-            # some admissible length cannot be pruned by overlap at all.
-            return None
-        prefix_size = query_gram_count - min_required + 1
-        posting = self._banded_posting
-        ranked = sorted(query_grams, key=lambda gram: (len(posting(gram)), gram))
-        candidates: set = set()
-        for gram in ranked[:prefix_size]:
-            candidates.update(posting(gram))
-        survivors: List[int] = []
-        kept_pairs = 0
-        name_length = self._banded_name_length
-        name_grams = self._banded_name_grams
-        fanout = self.fanout
-        for name_id in sorted(candidates):
-            length = name_length(name_id)
-            longest = length if length > query_length else query_length
-            limit = edit_budget(threshold, longest)
-            if abs(length - query_length) > limit:
-                continue
-            min_overlap = query_gram_count - limit * _GRAM_SLACK_PER_EDIT
-            if min_overlap > 0 and len(query_grams & name_grams(name_id)) < min_overlap:
-                continue
-            survivors.append(name_id)
-            kept_pairs += fanout(name_id)
-        return survivors, self.node_count - kept_pairs

@@ -1,4 +1,4 @@
-"""Frozen storage subsystem: segmented mmap snapshots + banded candidate index.
+"""Frozen storage subsystem: segmented mmap snapshots.
 
 A service snapshot is one frozen file: a segmented, versioned binary file
 whose fixed-width little-endian arrays are mapped — not parsed — at open, so

@@ -22,16 +22,13 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ClusteringError, ReproError
 from repro.labeling.distance import TreeDistanceOracle
+from repro.matchers.index import RepositoryNameIndex
 from repro.matchers.string_metrics import _ngrams
 from repro.schema.repository import SchemaRepository
 from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import schema_fingerprint
 from repro.service.partition import RepositoryPartition
 from repro.storage.format import SegmentWriter, open_frozen
-
-#: Trigram size used for index posting segments; must match
-#: :attr:`repro.matchers.index.RepositoryNameIndex.gram_size`.
-_GRAM_SIZE = 3
 
 
 class _FrozenWriter:
@@ -217,7 +214,7 @@ class _FrozenWriter:
             gram_count_list = array("i")
             posting_map: Dict[str, List[int]] = {}
             for name_id, key in enumerate(keys):
-                grams = _ngrams(key, _GRAM_SIZE)
+                grams = _ngrams(key, RepositoryNameIndex.gram_size)
                 gram_count_list.append(len(grams))
                 for gram in grams:
                     posting_map.setdefault(gram, []).append(name_id)
@@ -241,6 +238,8 @@ class _FrozenWriter:
                     "case_sensitive": bool(case_sensitive),
                     "name_count": len(keys),
                     "gram_count": len(grams),
+                    # No loader reads it; kept so version-1 files stay
+                    # byte-identical.
                     "max_key_length": max_key_length,
                 },
                 "key_offsets": key_offsets,

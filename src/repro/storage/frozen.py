@@ -11,8 +11,8 @@ objects per tree / per name / per gram, on first touch only.
   whose tree list decodes lazily (``locate``/``tree_offset`` run on the mapped
   offset array without touching a single tree);
 * :class:`FrozenNameIndex` — a :class:`~repro.matchers.index.RepositoryNameIndex`
-  over mapped key/ref/posting tables, with the banded candidate path enabled
-  (the posting lists are already on disk, so the sublinear scan is free);
+  over mapped key/ref/posting tables, answering the inherited candidate scan
+  from the mapped key lengths, ref offsets and posting lists;
 * :class:`FrozenRepositoryDistanceOracle` — per-tree
   :class:`~repro.labeling.distance.TreeDistanceOracle` objects re-sliced out of
   the flat Euler-tour / sparse-table segments;
@@ -312,9 +312,8 @@ class FrozenNameIndex(RepositoryNameIndex):
 
     Construction is O(header): keys, per-name refs, gram postings and the
     per-node name-id array are all mapped views decoded on first touch.  The
-    banded candidate path is enabled — the posting lists this index answers
-    from are exactly the segments the banded scan needs, so queries against a
-    large frozen repository stay sublinear in the unique-name count.  The
+    inherited :meth:`fuzzy_candidates` scan reads only the mapped key lengths,
+    ref offsets and posting lists, so it decodes no key and no ref list.  The
     vectorized kernel's code-point matrix is packed from the keys by the
     inherited :meth:`packed_name_table` on its first call, not at open.
 
@@ -348,13 +347,9 @@ class FrozenNameIndex(RepositoryNameIndex):
         )
         self._posting_offsets = snapshot.int32(f"{prefix}/posting_offsets")
         self._posting_values = snapshot.int32(f"{prefix}/posting_values")
-        self._max_key_length = int(meta["max_key_length"])
         self._key_to_id: Optional[Dict[str, int]] = None
         self._ids_by_length = None
         self._pairs_by_length: Dict[int, int] = {}
-        self._gram_counts: Any = []
-        self._postings: Dict[str, Any] = {}
-        self._banded_enabled = True
 
     # -- lazy lookups ---------------------------------------------------------
 
@@ -419,7 +414,6 @@ class FrozenNameIndex(RepositoryNameIndex):
                 pairs_by_length.get(length, 0) + offsets[name_id + 1] - offsets[name_id]
             )
         self._pairs_by_length = pairs_by_length
-        self._gram_counts = self._gram_counts_view
         self._ids_by_length = ids_by_length
         return ids_by_length
 
@@ -431,21 +425,6 @@ class FrozenNameIndex(RepositoryNameIndex):
         for gram_id in range(len(table)):
             postings[table[gram_id]] = list(self._posting_view(gram_id))
         return {"gram_counts": list(self._gram_counts_view), "postings": postings}
-
-    # -- banded hooks (same algorithm, mmap-backed data) -----------------------
-
-    def _banded_prepare(self) -> None:
-        pass
-
-    def _banded_max_key_length(self) -> int:
-        return self._max_key_length
-
-    def _banded_posting(self, gram: str):
-        gram_id = self._gram_id(gram)
-        return () if gram_id is None else self._posting_view(gram_id)
-
-    def _banded_name_length(self, name_id: int) -> int:
-        return self._key_lengths[name_id]
 
     # -- incremental updates materialize --------------------------------------
 
@@ -460,7 +439,6 @@ class FrozenNameIndex(RepositoryNameIndex):
         plain.keys = keys
         plain._refs = [self._refs[name_id] for name_id in range(len(keys))]
         plain._key_to_id = {key: name_id for name_id, key in enumerate(keys)}
-        plain._banded_enabled = True
         plain._gram_counts = list(self._gram_counts_view)
         table = self._gram_table
         plain._postings = {

@@ -21,6 +21,8 @@ from repro.matchers.string_metrics import fuzzy_similarity
 from repro.matchers.structure import StructuralContextMatcher
 from repro.schema.builder import TreeBuilder
 from repro.schema.repository import SchemaRepository
+from repro.service import MatchingService, load_snapshot, write_snapshot
+from repro.storage import FrozenNameIndex
 from repro.utils.counters import CounterSet
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import paper_personal_schema, purchase_personal_schema
@@ -59,6 +61,16 @@ def random_repository(seed: int, trees: int = 8, nodes_per_tree: int = 9) -> Sch
 @pytest.fixture(scope="module")
 def duplicate_repository() -> SchemaRepository:
     return random_repository(seed=1)
+
+
+@pytest.fixture(scope="module")
+def frozen_duplicate_index(tmp_path_factory) -> FrozenNameIndex:
+    """The name index a snapshot of :func:`duplicate_repository`'s forest loads."""
+    path = tmp_path_factory.mktemp("frozen-index") / "snap.frozen"
+    write_snapshot(MatchingService(random_repository(seed=1)), path)
+    index = load_snapshot(path).repository.name_index()
+    assert type(index) is FrozenNameIndex
+    return index
 
 
 class TestBatchNaiveEquivalence:
@@ -174,15 +186,18 @@ class TestRepositoryNameIndex:
             assert duplicate_repository.find_by_name(target) == expected
 
     @pytest.mark.parametrize("threshold", [0.1, 0.5, 0.8, 0.95])
-    def test_fuzzy_prefilter_is_lossless(self, duplicate_repository, threshold):
+    def test_fuzzy_prefilter_is_lossless(
+        self, duplicate_repository, frozen_duplicate_index, threshold
+    ):
         """No name scoring >= threshold is ever pruned (the core invariant)."""
-        index = RepositoryNameIndex.for_repository(duplicate_repository, case_sensitive=False)
-        for query in ["name", "adress", "e-mail", "titles", "qty", "", "completelyunrelated"]:
-            survivors, _ = index.fuzzy_candidates(query, threshold)
-            survivor_set = set(survivors)
-            for name_id, key in enumerate(index.keys):
-                if fuzzy_similarity(query, key, case_sensitive=True) >= threshold:
-                    assert name_id in survivor_set, (query, key, threshold)
+        memory_index = RepositoryNameIndex.for_repository(duplicate_repository, case_sensitive=False)
+        for index in (memory_index, frozen_duplicate_index):
+            for query in ["name", "adress", "e-mail", "titles", "qty", "", "completelyunrelated"]:
+                survivors, _ = index.fuzzy_candidates(query, threshold)
+                survivor_set = set(survivors)
+                for name_id, key in enumerate(index.keys):
+                    if fuzzy_similarity(query, key, case_sensitive=True) >= threshold:
+                        assert name_id in survivor_set, (type(index), query, key, threshold)
 
 
 class TestLRUMemo:

@@ -195,6 +195,97 @@ class TestFrozenLoadEquivalence:
         ).read_bytes()
 
 
+class TestFrozenIndexParity:
+    """A loaded name index runs the written index's one candidate scan."""
+
+    @pytest.fixture(scope="class")
+    def parity_snapshot(self, tmp_path_factory):
+        """The index of the service a snapshot was written from, and the file."""
+        profile = RepositoryProfile(
+            target_node_count=1500,
+            min_tree_size=12,
+            max_tree_size=70,
+            seed=99,
+            name="parity-repo",
+        )
+        service = MatchingService(RepositoryGenerator(profile).generate())
+        path = tmp_path_factory.mktemp("parity") / "snap.frozen"
+        write_snapshot(service, path)
+        return service.repository.name_index(), path
+
+    @pytest.fixture(scope="class")
+    def index_pair(self, parity_snapshot):
+        """The written index and its frozen mmap."""
+        plain, path = parity_snapshot
+        frozen = load_snapshot(path).repository.name_index()
+        assert type(frozen) is FrozenNameIndex
+        return plain, frozen
+
+    @pytest.fixture(scope="class")
+    def queries(self, parity_snapshot):
+        """Exact hits, near misses, and strings unlike anything indexed."""
+        plain, _ = parity_snapshot
+        sampled = [plain.keys[i] for i in range(0, len(plain.keys), 37)]
+        perturbed = [key[:-1] + "x" for key in sampled[:10] if len(key) > 3]
+        return sampled + perturbed + [
+            "name",
+            "adress",
+            "emial",
+            "customernumber",
+            "zzzzzzzz",
+            "a",
+            "shippingaddressline",
+        ]
+
+    def test_zero_threshold_prunes_nothing(self, index_pair):
+        for index in index_pair:
+            survivors, pruned = index.fuzzy_candidates("anything", 0.0)
+            assert pruned == 0
+            assert len(survivors) == len(index.keys)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.45, 0.6, 0.75, 0.85, 0.9, 0.92, 0.95])
+    def test_frozen_candidates_match_the_plain_index(self, index_pair, queries, threshold):
+        plain, frozen = index_pair
+        for query in queries:
+            plain_survivors, plain_pruned = plain.fuzzy_candidates(query, threshold)
+            frozen_survivors, frozen_pruned = frozen.fuzzy_candidates(query, threshold)
+            # Name-id numbering is shared (first-occurrence order), so the
+            # survivor sets must agree id-for-id, not just key-for-key.
+            assert sorted(frozen_survivors) == sorted(plain_survivors), (query, threshold)
+            assert frozen_pruned == plain_pruned, (query, threshold)
+            assert [frozen.keys[i] for i in frozen_survivors[:5]] == [
+                plain.keys[i] for i in plain_survivors[:5]
+            ] or sorted(frozen.keys[i] for i in frozen_survivors) == sorted(
+                plain.keys[i] for i in plain_survivors
+            )
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.6, 0.92])
+    def test_pruned_pairs_weigh_each_pruned_name_by_its_node_count(
+        self, index_pair, queries, threshold
+    ):
+        for index in index_pair:
+            node_counts = [len(index.refs_for_id(i)) for i in range(len(index.keys))]
+            assert sum(node_counts) == index.node_count
+            for query in queries:
+                survivors, pruned = index.fuzzy_candidates(query, threshold)
+                kept = set(survivors)
+                expected = sum(
+                    count for name_id, count in enumerate(node_counts) if name_id not in kept
+                )
+                assert pruned == expected, (type(index).__name__, query, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.6, 0.92])
+    def test_the_scan_decodes_no_key_and_no_ref_list(self, parity_snapshot, queries, threshold):
+        # Length buckets and pruned-pair counts come from mapped offsets and
+        # gram overlaps from the posting lists; only scoring survivors reads keys.
+        _, path = parity_snapshot
+        index = load_snapshot(path).repository.name_index()
+        for query in queries:
+            index.fuzzy_candidates(query, threshold)
+        assert not index.keys._cache
+        assert not index._refs._cache
+
+
 class TestMutationThaw:
     def test_mutation_thaws_and_stays_equivalent(self, tmp_path):
         written, path = written_pair(tmp_path)
