@@ -116,10 +116,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3, help="replay timing rounds (best-of)")
     parser.add_argument("--shards", type=int, default=3, help="shard count for the sharded replay")
     parser.add_argument(
-        "--chunk-trees", type=int, default=6,
-        help="trees per merge generation (small enough to force multi-generation merges)",
-    )
-    parser.add_argument(
         "--min-dedup-speedup", type=float, default=1.5,
         help="fail when match_many replay is not at least this much faster than "
         "query-by-query replay (0 disables the gate; the ratio is always reported)",
@@ -142,7 +138,7 @@ def main(argv=None) -> int:
 def _run(args, workdir: Path) -> int:
     corpus = workdir / "corpus"
     build_synthetic_corpus(corpus, args.seed)
-    config = IngestConfig(merge_chunk_trees=args.chunk_trees)
+    config = IngestConfig()
 
     status_a, seconds_a = run_ingest(workdir / "run-a", corpus, config)
     status_b, seconds_b = run_ingest(workdir / "run-b", corpus, config)
@@ -204,7 +200,6 @@ def _run(args, workdir: Path) -> int:
             "quarantined": len(status_a["quarantined"]),
             "kept": status_a["stages"]["dedupe"].get("kept"),
             "dropped": status_a["stages"]["dedupe"].get("dropped"),
-            "generations": status_a["stages"]["merge"].get("generations"),
         },
         "ingest_seconds": {"first": round(seconds_a, 3), "second": round(seconds_b, 3)},
         "resume_seconds": round(resume_seconds, 3),

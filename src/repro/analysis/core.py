@@ -211,13 +211,6 @@ class FileContext:
         tree = ast.parse(source, filename=rel)
         return cls(path=path, rel=rel, source=source, tree=tree, lines=tuple(source.splitlines()))
 
-    def module_name(self) -> str:
-        """Dotted module path for files under ``src/`` (best effort otherwise)."""
-        parts = Path(self.rel).with_suffix("").parts
-        if parts and parts[0] == "src":
-            parts = parts[1:]
-        return ".".join(parts)
-
 
 def path_matches(rel: str, pattern: str) -> bool:
     """Match a repo-relative posix path against an activation pattern.

@@ -643,7 +643,6 @@ def _ingest_pipeline(args: argparse.Namespace, *, with_config: bool):
             delta=args.delta,
             partition_max_fragment_size=args.max_fragment_size,
             max_depth=args.max_depth,
-            merge_chunk_trees=args.chunk_trees,
         )
     return IngestPipeline(Path(args.run_dir), _ingest_sources(args), config)
 
@@ -961,10 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_run_parser.add_argument("--delta", type=float, default=0.7)
     ingest_run_parser.add_argument("--max-fragment-size", type=int, default=20, help="partition fragment size cap")
     ingest_run_parser.add_argument("--max-depth", type=int, default=12, dest="max_depth", help="parser nesting cap")
-    ingest_run_parser.add_argument(
-        "--chunk-trees", type=int, default=16, dest="chunk_trees",
-        help="trees per merge generation (memory bound and resume granularity)",
-    )
     ingest_run_parser.set_defaults(handler=_command_ingest_run)
 
     ingest_status_parser = ingest_subparsers.add_parser("status", help="inspect an ingestion run directory")

@@ -64,7 +64,6 @@ class CheckpointStore:
         self.parsed_dir = self.run_dir / "parsed"
         self.quarantine_dir = self.run_dir / "quarantine"
         self.checkpoints_dir = self.run_dir / "checkpoints"
-        self.generations_dir = self.run_dir / "generations"
         self.manifest_path = self.run_dir / "manifest.json"
         self.snapshot_path = self.run_dir / "out.frozen"
 
@@ -75,7 +74,6 @@ class CheckpointStore:
             self.parsed_dir,
             self.quarantine_dir,
             self.checkpoints_dir,
-            self.generations_dir,
         ):
             directory.mkdir(parents=True, exist_ok=True)
 
@@ -134,10 +132,6 @@ class CheckpointStore:
         if document.get("format") != _CHECKPOINT_FORMAT or document.get("version") != _CHECKPOINT_VERSION:
             return None
         return document
-
-    def stage_complete(self, stage: str) -> bool:
-        checkpoint = self.load_checkpoint(stage)
-        return bool(checkpoint and checkpoint.get("complete"))
 
     # -- quarantine ---------------------------------------------------------
 

@@ -12,11 +12,9 @@ Five stages turn raw schema documents into one frozen, query-ready snapshot::
   computes its content digest from per-tree schema fingerprints;
 * **dedupe** keeps the first document of each content digest (document order
   is the deterministic fetch order, so "first" is well-defined);
-* **merge** streams the kept trees into a frozen ``repro.storage`` snapshot in
-  bounded chunks — the first chunk through
-  :func:`~repro.service.snapshot.write_snapshot`, every later chunk through
-  :func:`~repro.storage.builder.compact_frozen` — so the whole corpus is never
-  materialized in memory at once.
+* **merge** streams the kept trees, one parsed document at a time, through
+  :func:`~repro.storage.builder.write_frozen_forest` into one frozen
+  ``repro.storage`` snapshot, so the corpus is never materialized as a forest.
 
 Each stage records progress through :class:`~repro.ingest.checkpoint
 .CheckpointStore` after every unit of work.  Because every stage is a
@@ -51,9 +49,12 @@ _MANIFEST_VERSION = 1
 class IngestConfig:
     """Knobs that shape the final snapshot.
 
-    The config is stamped into the run manifest; a resume with a different
-    config is refused because it could not reproduce the interrupted run's
-    bytes.  Defaults mirror :class:`~repro.service.MatchingService`.
+    The snapshot loads as a default :class:`~repro.service.MatchingService`
+    with this name, thresholds and partition fragment cap; ``max_depth`` caps
+    the parsers' nesting.  The config is stamped into the run manifest; a
+    resume with a different config is refused because it could not reproduce
+    the interrupted run's bytes.  Defaults mirror
+    :class:`~repro.service.MatchingService`.
     """
 
     repository_name: str = "repository"
@@ -61,16 +62,10 @@ class IngestConfig:
     delta: float = 0.75
     partition_max_fragment_size: int = 20
     max_depth: int = 12
-    #: Trees per merge generation: bounds peak memory during the merge stage
-    #: and sets the resume granularity (a killed merge redoes at most one
-    #: generation).
-    merge_chunk_trees: int = 16
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise IngestError("max_depth must be at least 1")
-        if self.merge_chunk_trees < 1:
-            raise IngestError("merge_chunk_trees must be at least 1")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -79,7 +74,6 @@ class IngestConfig:
             "delta": self.delta,
             "partition_max_fragment_size": self.partition_max_fragment_size,
             "max_depth": self.max_depth,
-            "merge_chunk_trees": self.merge_chunk_trees,
         }
 
     @classmethod
@@ -177,7 +171,7 @@ class IngestPipeline:
             entry: Dict[str, Any] = {
                 "state": "complete" if checkpoint.get("complete") else "in-progress"
             }
-            for key in ("documents", "parsed", "kept", "dropped", "generations"):
+            for key in ("documents", "parsed", "kept", "dropped"):
                 if key in checkpoint:
                     entry[key] = len(checkpoint[key])
             if "quarantined" in checkpoint:
@@ -403,27 +397,10 @@ class IngestPipeline:
 
     # -- stage: merge -------------------------------------------------------
 
-    def _merge_plan(self, kept: List[Dict[str, Any]]) -> List[List[Dict[str, Any]]]:
-        """Deterministic chunking of kept documents into merge generations."""
-        assert self.config is not None
-        chunks: List[List[Dict[str, Any]]] = []
-        current: List[Dict[str, Any]] = []
-        current_trees = 0
-        for entry in kept:
-            current.append(entry)
-            current_trees += int(entry.get("trees", 1))
-            if current_trees >= self.config.merge_chunk_trees:
-                chunks.append(current)
-                current = []
-                current_trees = 0
-        if current:
-            chunks.append(current)
-        return chunks
-
     def _run_merge(self, kept: List[Dict[str, Any]]) -> Dict[str, Any]:
-        from repro.schema.repository import SchemaRepository
-        from repro.service import MatchingService, write_snapshot
-        from repro.storage.builder import compact_frozen
+        from repro.matchers.name import FuzzyNameMatcher
+        from repro.service.snapshot import snapshot_config
+        from repro.storage.builder import write_frozen_forest
 
         assert self.config is not None
         checkpoint = self.store.load_checkpoint("merge")
@@ -432,52 +409,26 @@ class IngestPipeline:
         if not kept:
             raise IngestError("no documents survived dedupe; nothing to merge")
 
-        plan = self._merge_plan(kept)
-        recorded: List[Dict[str, Any]] = (checkpoint or {}).get("generations", [])
-        generations: List[Dict[str, Any]] = []
-        for index, chunk in enumerate(plan):
-            documents = [entry["doc_id"] for entry in chunk]
-            file_name = f"gen-{index:04d}.frozen"
-            path = self.store.generations_dir / file_name
-            if (
-                index < len(recorded)
-                and recorded[index].get("documents") == documents
-                and path.is_file()
-            ):
-                # This generation was fully written before the interruption
-                # (the checkpoint records a generation only after its file is
-                # complete on disk), so its bytes are already the right ones.
-                generations.append(recorded[index])
-                continue
-            trees: List[SchemaTree] = []
-            for entry in chunk:
-                trees.extend(self._load_parsed_trees(entry["file"]))
-            if index == 0:
-                repository = SchemaRepository(name=self.config.repository_name)
-                repository.add_trees(trees)
-                service = MatchingService(
-                    repository,
-                    element_threshold=self.config.element_threshold,
-                    delta=self.config.delta,
-                    partition_max_fragment_size=self.config.partition_max_fragment_size,
-                )
-                write_snapshot(service, path)
-            else:
-                previous = self.store.generations_dir / generations[index - 1]["file"]
-                compact_frozen(previous, path, add_trees=trees)
-            generations.append(
-                {"file": file_name, "documents": documents, "trees": len(trees)}
-            )
-            self.store.save_checkpoint(
-                "merge", {"generations": generations}, complete=False
-            )
-
-        final_bytes = (self.store.generations_dir / generations[-1]["file"]).read_bytes()
-        write_bytes_atomic(self.store.snapshot_path, final_bytes)
+        # One pass, one parsed document's trees in memory at a time.  The file
+        # is written atomically at the end, so an interrupted merge leaves no
+        # snapshot and no complete checkpoint, and a resume redoes the pass.
+        # The snapshot loads as a default MatchingService over the kept trees.
+        matcher = FuzzyNameMatcher()
+        write_frozen_forest(
+            self.store.snapshot_path,
+            (tree for entry in kept for tree in self._load_parsed_trees(entry["file"])),
+            repository_name=self.config.repository_name,
+            config=snapshot_config(
+                element_threshold=self.config.element_threshold,
+                delta=self.config.delta,
+                matcher=matcher,
+            ),
+            max_fragment_size=self.config.partition_max_fragment_size,
+            case_sensitive=matcher.case_sensitive,
+        )
         payload = {
-            "generations": generations,
             "snapshot": self.store.snapshot_path.name,
-            "snapshot_sha256": hashlib.sha256(final_bytes).hexdigest(),
+            "snapshot_sha256": hashlib.sha256(self.store.snapshot_path.read_bytes()).hexdigest(),
         }
         self.store.save_checkpoint("merge", payload, complete=True)
         return payload

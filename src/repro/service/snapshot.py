@@ -89,6 +89,32 @@ def _matcher_from_config(config: Optional[Dict[str, Any]]) -> ElementMatcher:
     raise ReproError(f"snapshot names an unknown matcher type {kind!r}")
 
 
+def snapshot_config(
+    *,
+    element_threshold: float,
+    delta: float,
+    matcher: ElementMatcher,
+    variant: Optional[str] = PartitionClusterer.name,
+    use_batch_matching: Optional[bool] = None,
+    query_cache_size: int = 64,
+) -> Dict[str, Any]:
+    """The header ``config`` block that :func:`load_snapshot` rebuilds a service from.
+
+    Every writer takes it from here — :func:`write_snapshot` for a live
+    service, the ingestion merge for a default service over its corpus — so
+    no two writers can record it differently.  The defaults are
+    :class:`MatchingService`'s.
+    """
+    return {
+        "element_threshold": element_threshold,
+        "delta": delta,
+        "variant": variant,
+        "matcher": _matcher_config(matcher),
+        "use_batch_matching": use_batch_matching,
+        "query_cache_size": query_cache_size,
+    }
+
+
 def write_snapshot(service: MatchingService, path: str | Path) -> Dict[str, Any]:
     """Write a complete service snapshot to ``path`` and return its header.
 
@@ -103,14 +129,14 @@ def write_snapshot(service: MatchingService, path: str | Path) -> Dict[str, Any]
     repository = service.repository
     writer = _FrozenWriter(repository.name)
     writer.set_config(
-        {
-            "element_threshold": service.element_threshold,
-            "delta": service.delta,
-            "variant": service.variant_name,
-            "matcher": _matcher_config(service.matcher),
-            "use_batch_matching": service.system.use_batch_matching,
-            "query_cache_size": service.query_cache_size,
-        }
+        snapshot_config(
+            element_threshold=service.element_threshold,
+            delta=service.delta,
+            matcher=service.matcher,
+            variant=service.variant_name,
+            use_batch_matching=service.system.use_batch_matching,
+            query_cache_size=service.query_cache_size,
+        )
     )
     partition = service.partition
     if partition is not None:

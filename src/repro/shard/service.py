@@ -664,12 +664,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         shard_id, local_id = self._merged_to_local[tree_id]
         return self.shards[shard_id].repository.tree(local_id)
 
-    def shard_of(self, tree_id: int) -> int:
-        """The shard holding merged tree ``tree_id``."""
-        if not 0 <= tree_id < len(self._assignment):
-            raise UnknownTreeError(tree_id, context=f"sharded repository ({self.tree_count} trees)")
-        return self._assignment[tree_id]
-
     def build_derived_state(self) -> None:
         """Eagerly warm every shard (indexes, oracles, partitions)."""
         for shard in self.shards:

@@ -10,10 +10,10 @@ O(header) time regardless of repository size.
 * :mod:`repro.storage.frozen` — mmap-backed view classes satisfying the same
   contracts as the in-memory structures they stand for;
 * :mod:`repro.storage.builder` — the streaming writer behind
-  :func:`~repro.service.snapshot.write_snapshot`, and :func:`compact_frozen`.
+  :func:`~repro.service.snapshot.write_snapshot` and the ingestion merge's
+  one pass over a corpus.
 """
 
-from repro.storage.builder import compact_frozen
 from repro.storage.format import (
     FROZEN_FORMAT,
     FROZEN_MAGIC,
@@ -39,7 +39,6 @@ __all__ = [
     "FrozenRepository",
     "FrozenRepositoryDistanceOracle",
     "FrozenSnapshot",
-    "compact_frozen",
     "open_frozen",
     "pack_int32",
     "unpack_int32",

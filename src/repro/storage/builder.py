@@ -3,9 +3,8 @@
 Two entry points write through :class:`_FrozenWriter`:
 
 * :func:`repro.service.snapshot.write_snapshot` persists a live service;
-* :func:`compact_frozen` merges mutations (added / removed trees) into a new
-  frozen generation, copying the surviving trees' oracle and partition
-  segments slice-for-slice out of the source mapping without decoding them.
+* :func:`write_frozen_forest` streams a forest straight into a file, building
+  each tree's derived state as it goes — the ingestion pipeline's merge.
 
 The writer accumulates plain ``array('i')`` / ``bytearray`` buffers — ints,
 never per-node Python objects — so freezing a million-node repository costs a
@@ -20,7 +19,7 @@ from array import array
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.errors import ClusteringError, ReproError
+from repro.errors import ReproError
 from repro.labeling.distance import TreeDistanceOracle
 from repro.matchers.index import RepositoryNameIndex
 from repro.matchers.string_metrics import _ngrams
@@ -28,7 +27,7 @@ from repro.schema.repository import SchemaRepository
 from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import schema_fingerprint
 from repro.service.partition import RepositoryPartition
-from repro.storage.format import SegmentWriter, open_frozen
+from repro.storage.format import SegmentWriter
 
 
 class _FrozenWriter:
@@ -101,11 +100,10 @@ class _FrozenWriter:
     ) -> int:
         """Fold one tree into the image; returns its tree id in the frozen file.
 
-        ``oracle_payload`` is a :meth:`TreeDistanceOracle.to_payload`-shaped
-        dict, with either ``rmq_levels`` (list of level rows) or ``rmq_flat``
-        (levels from 1 up pre-flattened, the on-disk shape), computed from the
-        tree when absent.  ``fragments`` is the tree's fragment list, required
-        once a partition was declared via :meth:`set_partition`.
+        ``oracle_payload`` is a :meth:`TreeDistanceOracle.to_payload` dict,
+        computed from the tree when absent.  ``fragments`` is the tree's
+        fragment list, required once a partition was declared via
+        :meth:`set_partition`.
         """
         tree_id = len(self._tree_sizes)
         size = tree.node_count
@@ -144,12 +142,8 @@ class _FrozenWriter:
         self._euler_depths.extend(oracle_payload["euler_depths"])
         self._first_occurrence.extend(oracle_payload["first_occurrence"])
         self._tour_offsets.append(len(self._euler_nodes))
-        flat = oracle_payload.get("rmq_flat")
-        if flat is None:
-            for level in oracle_payload["rmq_levels"][1:]:
-                self._rmq_values.extend(level)
-        else:
-            self._rmq_values.extend(flat)
+        for level in oracle_payload["rmq_levels"][1:]:
+            self._rmq_values.extend(level)
         self._rmq_offsets.append(len(self._rmq_values))
 
         if self._partition_meta is not None:
@@ -349,126 +343,46 @@ class _FrozenWriter:
         return writer.write(path, header)
 
 
-def _fragment_single_tree(
-    tree: SchemaTree, max_fragment_size: int, reclustering=None
-) -> List[List[int]]:
+def _fragment_single_tree(tree: SchemaTree, max_fragment_size: int) -> List[List[int]]:
     """Fragment one tree exactly as :class:`RepositoryPartition` would.
 
     Delegates through a throwaway single-tree repository rather than
-    re-implementing the fragmentation (and optional reclustering) recipe —
-    the partition code is the single source of truth for fragment shapes.
+    re-implementing the fragmentation recipe — the partition code is the
+    single source of truth for fragment shapes.
     """
     scratch = SchemaRepository(name="freeze-scratch")
     original_id = tree.tree_id
     tree.tree_id = -1
     try:
         scratch.add_tree(tree)
-        partition = RepositoryPartition(
-            max_fragment_size=max_fragment_size, reclustering=reclustering
-        )
-        return partition.fragments_for(scratch, 0)
+        return RepositoryPartition(max_fragment_size=max_fragment_size).fragments_for(scratch, 0)
     finally:
         tree.tree_id = original_id
 
 
-# -- compaction ----------------------------------------------------------------
-
-
-def compact_frozen(
-    source: str | Path,
-    destination: str | Path,
-    add_trees: Sequence[SchemaTree] = (),
-    remove_tree_ids: Sequence[int] = (),
-    partition_reclustering=None,
+def write_frozen_forest(
+    path: str | Path,
+    trees: Iterable[SchemaTree],
+    *,
+    repository_name: str,
+    config: Dict[str, Any],
+    max_fragment_size: int,
+    case_sensitive: bool,
 ) -> Dict[str, Any]:
-    """Merge mutations into a new frozen generation, streaming.
+    """Stream ``trees`` into one complete frozen file at ``path``; returns its header.
 
-    Surviving trees are re-numbered contiguously (the same shift
-    ``remove_tree`` applies in memory); their oracle and partition segments
-    are copied slice-for-slice from the source mapping without decoding —
-    both are tree-local, so removal and renumbering cannot invalidate them.
-    ``add_trees`` are appended at the end, with derived state built on the
-    fly.  Name indexes are re-folded from the merged forest (first-occurrence
-    numbering, observably equivalent to incremental index maintenance).
-
-    A partition recorded with a reclustering strategy needs the strategy
-    object back (``partition_reclustering``) to fragment *added* trees;
-    removals alone copy fragments and need nothing.
+    Each tree is folded in — its oracle payload built from the tree, its
+    partition fragments through :func:`_fragment_single_tree` — and kept by no
+    reference afterwards, so a lazy iterable is never materialized as a
+    forest.  The one name index is re-folded from the streamed forest, the
+    construction order of :class:`~repro.matchers.index.RepositoryNameIndex`.
+    ``config`` is the header block :func:`~repro.service.snapshot
+    .snapshot_config` builds.  The write is atomic.
     """
-    from repro.storage.frozen import FrozenRepository
-
-    snapshot = open_frozen(source)
-    header = snapshot.header
-    tree_count = int(header["repository"]["tree_count"])
-    removed = set()
-    for tree_id in remove_tree_ids:
-        if not 0 <= tree_id < tree_count:
-            raise ReproError(
-                f"cannot compact {snapshot.source_path}: tree id {tree_id} is outside "
-                f"[0, {tree_count})"
-            )
-        removed.add(tree_id)
-
-    repository = FrozenRepository(snapshot)
-    writer = _FrozenWriter(header["repository"].get("name", "repository"))
-    writer.set_config(header.get("config", {}))
-    partition_meta = header.get("partition")
-    recorded_reclustering = None
-    if partition_meta is not None:
-        recorded_reclustering = partition_meta.get("reclustering")
-        if recorded_reclustering is not None and add_trees and partition_reclustering is None:
-            raise ClusteringError(
-                f"frozen partition was built with reclustering strategy "
-                f"{recorded_reclustering!r}; pass an equivalent strategy via "
-                "partition_reclustering to fragment added trees"
-            )
-        writer.set_partition(partition_meta["max_fragment_size"], recorded_reclustering)
-
-    tour_offsets = snapshot.int32("oracle/tour_offsets")
-    euler_nodes = snapshot.int32("oracle/euler_nodes")
-    euler_depths = snapshot.int32("oracle/euler_depths")
-    first_occurrence = snapshot.int32("oracle/first_occurrence")
-    rmq_offsets = snapshot.int32("oracle/rmq_offsets")
-    rmq_values = snapshot.int32("oracle/rmq_values")
-    if partition_meta is not None:
-        frag_offsets = snapshot.int32("partition/fragment_offsets")
-        member_offsets = snapshot.int32("partition/member_offsets")
-        members = snapshot.int32("partition/members")
-
-    for tree_id in range(tree_count):
-        if tree_id in removed:
-            continue
-        tree = repository._materialize_tree(tree_id)  # uncached: one at a time
-        start = tour_offsets[tree_id]
-        end = tour_offsets[tree_id + 1]
-        base = repository.tree_offset(tree_id)
-        node_count = (end - start + 1) // 2
-        oracle_payload = {
-            "euler_nodes": euler_nodes[start:end],
-            "euler_depths": euler_depths[start:end],
-            "first_occurrence": first_occurrence[base : base + node_count],
-            "rmq_flat": rmq_values[rmq_offsets[tree_id] : rmq_offsets[tree_id + 1]],
-        }
-        fragments = None
-        if partition_meta is not None:
-            fragments = [
-                members[member_offsets[fragment] : member_offsets[fragment + 1]]
-                for fragment in range(frag_offsets[tree_id], frag_offsets[tree_id + 1])
-            ]
-        writer.add_tree(tree, oracle_payload=oracle_payload, fragments=fragments)
-
-    for tree in add_trees:
-        fragments = None
-        if partition_meta is not None:
-            fragments = _fragment_single_tree(
-                tree,
-                partition_meta["max_fragment_size"],
-                reclustering=(
-                    partition_reclustering if recorded_reclustering is not None else None
-                ),
-            )
-        writer.add_tree(tree, fragments=fragments)
-
-    for meta in header.get("indexes", []):
-        writer.add_index_from_forest(bool(meta["case_sensitive"]))
-    return writer.write(destination)
+    writer = _FrozenWriter(repository_name)
+    writer.set_config(config)
+    writer.set_partition(max_fragment_size, None)
+    for tree in trees:
+        writer.add_tree(tree, fragments=_fragment_single_tree(tree, max_fragment_size))
+    writer.add_index_from_forest(case_sensitive)
+    return writer.write(path)

@@ -313,7 +313,9 @@ class FrozenNameIndex(RepositoryNameIndex):
     Construction is O(header): keys, per-name refs, gram postings and the
     per-node name-id array are all mapped views decoded on first touch.  The
     inherited :meth:`fuzzy_candidates` scan reads only the mapped key lengths,
-    ref offsets and posting lists, so it decodes no key and no ref list.  The
+    ref offsets and posting lists, so it decodes no key and no ref list; it
+    finds a gram's posting list through a gram → id dict built from the mapped
+    gram table on first use.  The
     vectorized kernel's code-point matrix is packed from the keys by the
     inherited :meth:`packed_name_table` on its first call, not at open.
 
@@ -348,6 +350,7 @@ class FrozenNameIndex(RepositoryNameIndex):
         self._posting_offsets = snapshot.int32(f"{prefix}/posting_offsets")
         self._posting_values = snapshot.int32(f"{prefix}/posting_values")
         self._key_to_id: Optional[Dict[str, int]] = None
+        self._gram_to_id: Optional[Dict[str, int]] = None
         self._ids_by_length = None
         self._pairs_by_length: Dict[int, int] = {}
 
@@ -368,30 +371,21 @@ class FrozenNameIndex(RepositoryNameIndex):
     def node_name_ids(self):
         return self._node_name_ids
 
-    def _gram_id(self, gram: str) -> Optional[int]:
-        """Binary search in the sorted on-disk gram table (no full decode)."""
-        table = self._gram_table
-        low, high = 0, len(table)
-        while low < high:
-            middle = (low + high) // 2
-            if table[middle] < gram:
-                low = middle + 1
-            else:
-                high = middle
-        if low < len(table) and table[low] == gram:
-            return low
-        return None
-
     def _posting_view(self, gram_id: int):
         return self._posting_values[
             self._posting_offsets[gram_id] : self._posting_offsets[gram_id + 1]
         ]
 
     def gram_overlap_counts(self, query_grams) -> Dict[int, int]:
+        gram_ids = self._gram_to_id
+        if gram_ids is None:
+            gram_ids = self._gram_to_id = {
+                gram: gram_id for gram_id, gram in enumerate(self._gram_table)
+            }
         counts: Dict[int, int] = {}
         get = counts.get
         for gram in query_grams:
-            gram_id = self._gram_id(gram)
+            gram_id = gram_ids.get(gram)
             if gram_id is None:
                 continue
             for name_id in self._posting_view(gram_id):

@@ -96,10 +96,6 @@ class MatchResult:
     def total_seconds(self) -> float:
         return self.timers.total()
 
-    def mappings_above(self, delta: float) -> List[SchemaMapping]:
-        """Mappings whose score clears ``delta`` (the result already honours the run's δ)."""
-        return [mapping for mapping in self.mappings if mapping.score >= delta]
-
     def signatures(self) -> set:
         """Canonical identities of all discovered mappings (for preservation metrics)."""
         return {mapping.signature() for mapping in self.mappings}

@@ -10,6 +10,7 @@ The two load-bearing properties (ISSUE 10's acceptance gates):
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -26,9 +27,13 @@ from repro.ingest import (
 GOOD_DTD = "<!ELEMENT a (b)><!ELEMENT b (#PCDATA)>"
 BAD_XSD = "<xs:schema xmlns:xs='http://www.w3.org/2001/XMLSchema'><unclosed>"
 
-#: Small chunk size so even the tiny test corpus exercises multi-generation
-#: merges (freeze + at least one compact).
-CONFIG = IngestConfig(merge_chunk_trees=3)
+CONFIG = IngestConfig()
+
+#: sha256 of ``out.frozen`` for this corpus under ``CONFIG``.  The merge
+#: once wrote the corpus in generations of at most three trees (a snapshot
+#: write, then a compaction per generation); this digest was taken from that
+#: path, so the one-pass merge is held to its bytes.
+SNAPSHOT_SHA256 = "b79cb082682d0ad3f1592e6f07b2de0935617097423fb8bf65c5cf3c8008df14"
 
 
 @pytest.fixture
@@ -87,10 +92,32 @@ class TestFullRun:
         result = service.match(book_personal_schema())
         assert result.mappings, "bundled corpus must yield mappings for the book schema"
 
-    def test_multiple_generations_were_exercised(self, tmp_path, corpus_dir):
+    def test_snapshot_bytes_are_pinned(self, tmp_path, corpus_dir):
+        _, status = run_pipeline(tmp_path / "run", corpus_dir)
+        assert status["snapshot"]["sha256"] == SNAPSHOT_SHA256
+        assert (
+            hashlib.sha256((tmp_path / "run" / "out.frozen").read_bytes()).hexdigest()
+            == SNAPSHOT_SHA256
+        )
+
+    def test_the_merge_writes_what_write_snapshot_writes(self, tmp_path, corpus_dir):
+        # The snapshot is the one a default service over the kept trees
+        # writes, so the streaming merge and write_snapshot cannot drift.
+        from repro.schema.repository import SchemaRepository
+        from repro.service import MatchingService, write_snapshot
+
         pipeline, _ = run_pipeline(tmp_path / "run", corpus_dir)
-        checkpoint = pipeline.store.load_checkpoint("merge")
-        assert len(checkpoint["generations"]) >= 2
+        repository = SchemaRepository(name=CONFIG.repository_name)
+        for entry in pipeline.store.load_checkpoint("dedupe")["kept"]:
+            repository.add_trees(pipeline._load_parsed_trees(entry["file"]))
+        service = MatchingService(
+            repository,
+            element_threshold=CONFIG.element_threshold,
+            delta=CONFIG.delta,
+            partition_max_fragment_size=CONFIG.partition_max_fragment_size,
+        )
+        write_snapshot(service, tmp_path / "service.frozen")
+        assert (tmp_path / "service.frozen").read_bytes() == pipeline.store.snapshot_path.read_bytes()
 
 
 class TestResume:
@@ -122,9 +149,65 @@ class TestResume:
         with pytest.raises(IngestError, match="no sources"):
             IngestPipeline(tmp_path / "run").run(resume=True)
 
+    def test_a_merge_that_fails_partway_leaves_no_snapshot_and_resumes(
+        self, tmp_path, corpus_dir, monkeypatch
+    ):
+        run_pipeline(tmp_path / "run", corpus_dir, stop_after="dedupe")
+        load = IngestPipeline._load_parsed_trees
+        loaded = []
+
+        def fail_on_the_third_document(pipeline, parsed_file):
+            loaded.append(parsed_file)
+            if len(loaded) == 3:
+                raise IngestError("disk went away")
+            return load(pipeline, parsed_file)
+
+        monkeypatch.setattr(IngestPipeline, "_load_parsed_trees", fail_on_the_third_document)
+        pipeline = IngestPipeline(tmp_path / "run")
+        with pytest.raises(IngestError, match="disk went away"):
+            pipeline.run(resume=True)
+        assert len(loaded) == 3
+        assert not pipeline.store.snapshot_path.exists()
+        checkpoint = pipeline.store.load_checkpoint("merge")
+        assert not (checkpoint and checkpoint.get("complete"))
+
+        monkeypatch.undo()
+        final = IngestPipeline(tmp_path / "run").run(resume=True)
+        assert final["snapshot"]["sha256"] == SNAPSHOT_SHA256
+
+    def test_a_run_from_a_generation_merging_build_resumes(self, tmp_path, corpus_dir):
+        # An earlier build recorded its generation size in the manifest,
+        # merged in generations under generations/ and checkpointed each one.
+        # Its run directory still resumes to the one-pass bytes: the extra
+        # config key, the incomplete merge checkpoint and the leftover
+        # generation files are all ignored.
+        pipeline, _ = run_pipeline(tmp_path / "run", corpus_dir, stop_after="dedupe")
+        manifest = pipeline.store.load_manifest()
+        manifest["config"]["merge_chunk_trees"] = 3
+        pipeline.store.write_manifest(manifest)
+        generations = pipeline.store.run_dir / "generations"
+        generations.mkdir()
+        (generations / "gen-0000.frozen").write_bytes(b"a generation from an earlier build")
+        kept = pipeline.store.load_checkpoint("dedupe")["kept"]
+        pipeline.store.save_checkpoint(
+            "merge",
+            {
+                "generations": [
+                    {
+                        "file": "gen-0000.frozen",
+                        "documents": [entry["doc_id"] for entry in kept[:2]],
+                        "trees": 3,
+                    }
+                ]
+            },
+            complete=False,
+        )
+        final = IngestPipeline(tmp_path / "run").run(resume=True)
+        assert final["snapshot"]["sha256"] == SNAPSHOT_SHA256
+
     def test_resume_with_mismatched_config_is_refused(self, tmp_path, corpus_dir):
         run_pipeline(tmp_path / "run", corpus_dir, stop_after="dedupe")
-        different = IngestConfig(merge_chunk_trees=99)
+        different = IngestConfig(delta=0.5)
         with pytest.raises(IngestError, match="config does not match"):
             IngestPipeline(tmp_path / "run", make_sources(corpus_dir), different).run(resume=True)
 

@@ -4,9 +4,9 @@ A snapshot is pure acceleration — any divergence from the service it was
 written from would silently corrupt match results rather than crash.  Every
 test therefore pins exact equality (rankings, path evidence, counters,
 cluster reports) between a loaded service and the in-memory service the file
-was written from, through mutation (thaw), compaction, sharding and
-load-time overrides.  Each load maps the file as it is at that moment and
-releases the mapping with the service.
+was written from, through mutation (thaw), sharding and load-time
+overrides.  Each load maps the file as it is at that moment and releases the
+mapping with the service.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.storage import (
     FrozenPartition,
     FrozenRepository,
     FrozenRepositoryDistanceOracle,
-    compact_frozen,
     open_frozen,
 )
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
@@ -317,47 +316,6 @@ class TestMutationThaw:
             assert full_key(frozen_service.match(schema)) == full_key(written.match(schema))
 
 
-class TestCompaction:
-    def test_compact_equals_mutate_then_query(self, snapshot_pair, tmp_path):
-        extra = RepositoryGenerator(
-            RepositoryProfile(target_node_count=60, min_tree_size=10, max_tree_size=30, seed=7)
-        ).generate().tree(0)
-
-        mutated = make_service()  # the service snap.frozen was written from
-        mutated.remove_tree(2)
-        tree = copy.deepcopy(extra)
-        tree.tree_id = -1
-        mutated.add_tree(tree)
-
-        added = copy.deepcopy(extra)
-        added.tree_id = -1
-        target = tmp_path / "gen2.frozen"
-        compact_frozen(
-            snapshot_pair / "snap.frozen", target, add_trees=[added], remove_tree_ids=[2]
-        )
-        compacted = load_snapshot(target)
-        assert compacted.repository.tree_count == mutated.repository.tree_count
-        for schema in (paper_personal_schema(), contact_personal_schema()):
-            reference = mutated.match(schema)
-            result = compacted.match(schema)
-            assert result_key(result) == result_key(reference)
-            assert path_records_key(result) == path_records_key(reference)
-
-    def test_pure_copy_compaction_preserves_the_digest(self, snapshot_pair, tmp_path):
-        target = tmp_path / "copy.frozen"
-        compact_frozen(snapshot_pair / "snap.frozen", target)
-        source = open_frozen(snapshot_pair / "snap.frozen")
-        copied = open_frozen(target)
-        assert copied.header["repository"]["digest"] == source.header["repository"]["digest"]
-        assert copied.header["repository"]["node_count"] == source.header["repository"]["node_count"]
-
-    def test_unknown_remove_id_is_rejected(self, snapshot_pair, tmp_path):
-        with pytest.raises(ReproError):
-            compact_frozen(
-                snapshot_pair / "snap.frozen", tmp_path / "bad.frozen", remove_tree_ids=[10**6]
-            )
-
-
 def make_sharded() -> ShardedMatchingService:
     repository = RepositoryGenerator(
         RepositoryProfile(
@@ -505,14 +463,13 @@ class TestOpenGenerations:
         assert _open_fd_count() == baseline
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_dropped_snapshots_and_compactions_release_their_file_descriptors(self, tmp_path):
+    def test_dropped_snapshots_release_their_file_descriptors(self, tmp_path):
         source = tmp_path / "snap.frozen"
         write_snapshot(_one_tree_service("title"), source)
         gc.collect()
         baseline = _open_fd_count()
-        for index in range(6):
+        for _ in range(6):
             assert open_frozen(source).header["repository"]["tree_count"] == 1
-            compact_frozen(source, tmp_path / f"gen-{index}.frozen")
         gc.collect()
         assert _open_fd_count() == baseline
 

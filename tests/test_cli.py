@@ -639,6 +639,14 @@ class TestIngestCommands:
         assert main(["ingest", "status", "--run-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_the_removed_merge_generation_flag_is_rejected(self, tmp_path, capsys):
+        # The merge is one pass, so there are no merge generations to size.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", "run", "--run-dir", str(tmp_path / "run"), "--bundled",
+                  "--chunk-trees", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --chunk-trees" in capsys.readouterr().err
+
 
 class TestTraceCommands:
     def test_synth_then_replay_against_ingested_snapshot(self, tmp_path, capsys):
