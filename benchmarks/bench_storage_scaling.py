@@ -17,7 +17,12 @@ storage subsystem makes:
     per-query candidate-generation latency across the same 10x growth must
     rise by at most ``--max-query-growth-fraction`` of the size ratio.  At
     ``--threshold`` 0.92 (the default) both the length and the trigram bound
-    prune; ``unique_names`` records the vocabulary at each scale.
+    prune; ``unique_names`` records the vocabulary at each scale.  A probe
+    pass takes a few milliseconds, so the growth is read over
+    ``QUERY_PAIRS`` alternating pairs: each pair times a pass on the smallest
+    and on the largest scale's loaded index, alternating which runs first,
+    and the gate reads the median per-pair ratio, so one noisy pass cannot
+    decide it.
 
 ``candidate identity`` (hard gate)
     At every scale the frozen index must return exactly the survivor sets
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -48,6 +54,8 @@ from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from _host import host_fields
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_storage_scaling.json"
+#: Alternating (smallest, largest scale) probe-pass pairs timed by the query-growth gate.
+QUERY_PAIRS = 11
 
 #: Candidate-generation probes: realistic schema-element names (long enough
 #: for the trigram bound to prune at high thresholds) plus near-misses.
@@ -113,6 +121,24 @@ def measure_queries(index, threshold: float, rounds: int) -> tuple[float, int]:
     return best, survivors_total
 
 
+def query_growth_ratios(small, large, threshold: float, rounds: int) -> list:
+    """Largest-over-smallest probe-pass time, one ratio per alternating pair.
+
+    Odd pairs time the large index first, so neither side always runs second
+    and drift in the host's speed reaches both alike.
+    """
+    ratios = []
+    for pair in range(QUERY_PAIRS):
+        if pair % 2:
+            large_seconds, _ = measure_queries(large, threshold, rounds)
+            small_seconds, _ = measure_queries(small, threshold, rounds)
+        else:
+            small_seconds, _ = measure_queries(small, threshold, rounds)
+            large_seconds, _ = measure_queries(large, threshold, rounds)
+        ratios.append(large_seconds / small_seconds if small_seconds > 0 else float("inf"))
+    return ratios
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -163,6 +189,7 @@ def main(argv=None) -> int:
 
 def _run(args, scales, workdir: Path) -> int:
     rows = []
+    indexes = []
     diverging_scales = []
     for trees in scales:
         repository, path, generate_seconds, freeze_seconds = build_frozen(trees, workdir)
@@ -198,6 +225,7 @@ def _run(args, scales, workdir: Path) -> int:
                 break
 
         rows.append(row)
+        indexes.append(index)
         print(json.dumps(row, sort_keys=True), flush=True)
 
     size_growth = rows[-1]["nodes"] / rows[0]["nodes"]
@@ -206,11 +234,9 @@ def _run(args, scales, workdir: Path) -> int:
         if rows[0]["first_open_seconds"] > 0
         else float("inf")
     )
-    query_growth = (
-        rows[-1]["query_pass_seconds"] / rows[0]["query_pass_seconds"]
-        if rows[0]["query_pass_seconds"] > 0
-        else float("inf")
-    )
+    ratios = query_growth_ratios(indexes[0], indexes[-1], args.threshold, args.rounds)
+    query_growth = statistics.median(ratios)
+    lower_quartile, _, upper_quartile = statistics.quantiles(ratios, n=4)
 
     report = {
         "benchmark": "storage_scaling",
@@ -221,7 +247,9 @@ def _run(args, scales, workdir: Path) -> int:
         "scales": rows,
         "size_growth": round(size_growth, 3),
         "open_growth": round(open_growth, 3),
+        "pairs": len(ratios),
         "query_growth": round(query_growth, 3),
+        "query_growth_quartiles": [round(lower_quartile, 3), round(upper_quartile, 3)],
         "query_growth_fraction_of_size": round(query_growth / size_growth, 4),
         "candidates_identical": not diverging_scales,
     }
@@ -255,15 +283,17 @@ def _run(args, scales, workdir: Path) -> int:
         and query_growth > args.max_query_growth_fraction * size_growth
     ):
         print(
-            f"FAIL: query latency grew {query_growth:.2f}x over a {size_growth:.0f}x "
-            f"size growth (limit {args.max_query_growth_fraction:.2f} of size growth)",
+            f"FAIL: query latency grew {query_growth:.2f}x (median of {len(ratios)} pairs) "
+            f"over a {size_growth:.0f}x size growth "
+            f"(limit {args.max_query_growth_fraction:.2f} of size growth)",
             file=sys.stderr,
         )
         return 1
     print(
         f"ok: cold open flat ({open_growth:.2f}x over {size_growth:.0f}x growth, "
         f"{rows[-1]['first_open_seconds'] * 1000:.2f}ms at {rows[-1]['nodes']} nodes), "
-        f"queries sublinear ({query_growth:.2f}x), candidates identical at every scale"
+        f"queries sublinear ({query_growth:.2f}x, median of {len(ratios)} pairs), "
+        f"candidates identical at every scale"
     )
     return 0
 

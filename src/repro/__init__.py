@@ -65,7 +65,6 @@ from repro.system import (
 )
 from repro.service import (
     MatchingService,
-    SerialExecutor,
     load_snapshot,
     write_snapshot,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "SchemaParseError",
     "SchemaRepository",
     "SchemaTree",
-    "SerialExecutor",
     "ShardError",
     "ShardManifestError",
     "ShardedMatchingService",

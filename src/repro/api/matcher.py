@@ -10,7 +10,7 @@ four-method surface:
   end every backend shares (:meth:`MatcherAPIMixin._answer_batch`:
   fingerprint dedup, then the backend's result cache, if it keeps one);
 * ``stats()`` — the uniform operational dict (backend kind, protocol
-  version, executor, cache capacities, shard breakdown where applicable);
+  version, cache capacities, shard breakdown where applicable);
 * ``describe()`` — the static capability card.
 
 Backward compatibility is a *shim, not a fork*: the same ``match`` /
@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schema.tree import SchemaTree
     from repro.system.results import MatchResult
     from repro.utils.counters import CounterSet
-    from repro.utils.executor import TaskExecutor
 
 
 @runtime_checkable
@@ -76,8 +75,8 @@ class MatcherAPIMixin:
       the batch implementation (default: the batch front end over
       ``_match_schema``);
     * ``backend_kind`` — the stable name ``describe()``/``stats()`` report;
-    * optionally ``_task_executor()``, ``_capabilities()`` and
-      ``_describe_extra()`` to refine the capability card.
+    * optionally ``_capabilities()`` and ``_describe_extra()`` to refine the
+      capability card.
     """
 
     backend_kind: str = "matcher"
@@ -118,13 +117,11 @@ class MatcherAPIMixin:
 
     def describe(self) -> Dict[str, object]:
         """The backend's capability card (static; ``stats()`` is the live view)."""
-        executor = self._task_executor()
         card: Dict[str, object] = {
             "backend": self.backend_kind,
             "protocol_version": PROTOCOL_VERSION,
             "delta": self.delta,
             "element_threshold": self.element_threshold,
-            "executor": "serial" if executor is None else executor.name,
             "capabilities": sorted(self._capabilities()),
             "repository": {
                 "trees": self.repository.tree_count,
@@ -258,9 +255,6 @@ class MatcherAPIMixin:
         fingerprint does not hash.
         """
         return None
-
-    def _task_executor(self) -> Optional["TaskExecutor"]:
-        return getattr(self, "executor", None)
 
     def _capabilities(self) -> Set[str]:
         return {"match", "match_many", "top_k", "explain", "stats", "describe"}

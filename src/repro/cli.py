@@ -293,10 +293,8 @@ def _load_service_argument(args: argparse.Namespace):
     overrides the persisted query-cache capacity in both cases.
 
     Resilience flags (``--retries``, ``--hedge-ms``, ``--fault-plan``) turn
-    on the shard layer's retry/hedge/failover fan-out.  Against a single
-    snapshot only ``--fault-plan`` applies: the per-cluster tasks run through
-    a :class:`~repro.resilience.ChaosExecutor` so injected delays and errors
-    exercise the unsharded pipeline deterministically.
+    on the shard layer's retry/hedge/failover fan-out, so they need
+    ``--shards``.
     """
     from repro.service import load_snapshot
     from repro.shard import load_shard_set
@@ -306,17 +304,15 @@ def _load_service_argument(args: argparse.Namespace):
     if bool(snapshot) == bool(shards):
         raise ReproError("pass exactly one of --snapshot or --shards")
     cache_size = getattr(args, "cache_size", None)
-    resilience = _resilience_from_args(args)
     if snapshot:
-        if getattr(args, "retries", None) is not None or getattr(args, "hedge_ms", None) is not None:
-            raise ReproError("--retries and --hedge-ms require --shards (shard-level failover)")
-        executor = None
-        if resilience is not None and resilience.fault_plan is not None:
-            from repro.resilience import ChaosExecutor, FaultInjector
-            from repro.utils.executor import SerialExecutor
-
-            executor = ChaosExecutor(SerialExecutor(), FaultInjector(resilience.fault_plan))
-        return load_snapshot(Path(snapshot), executor=executor, query_cache_size=cache_size)
+        if any(
+            getattr(args, flag, None) is not None for flag in ("retries", "hedge_ms", "fault_plan")
+        ):
+            raise ReproError(
+                "--retries, --hedge-ms and --fault-plan require --shards (shard-level failover)"
+            )
+        return load_snapshot(Path(snapshot), query_cache_size=cache_size)
+    resilience = _resilience_from_args(args)
     return load_shard_set(Path(shards), query_cache_size=cache_size, resilience=resilience)
 
 
@@ -778,8 +774,8 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fault-plan", default=None, dest="fault_plan",
-        help="JSON fault-plan file injecting deterministic delays/errors/hangs "
-        "into shard calls (--shards) or per-cluster tasks (--snapshot); testing only",
+        help="with --shards: JSON fault-plan file injecting deterministic "
+        "delays/errors/hangs into shard calls; testing only",
     )
 
 

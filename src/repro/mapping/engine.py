@@ -34,17 +34,19 @@ floor are never pruned (the cut is strict, and lowered by ``_TIE_SLACK``
 because the bound and the realized score are different float expressions).
 Because the final ranking is re-sorted with the canonical deterministic key,
 the merged top-``k`` is identical no matter how the floor rose over time,
-including when shard searches raise it from concurrent threads.  This
-argument requires a *complete* policy; incomplete ones (beam, budget-limited
-A*) opt out of incumbent pruning via
+including when resilient-mode shard attempts raise it from concurrent
+threads.  This argument requires a *complete* policy; incomplete ones (beam,
+budget-limited A*) opt out of incumbent pruning via
 :meth:`SearchPolicy.supports_shared_pruning` — they keep δ-only pruning plus
 plain top-``k`` truncation, staying deterministic.  Without
 ``top_k`` the pool is absent and the engine reproduces the legacy
 ``Δ >= δ``-complete semantics (and bit-identical results) exactly.
 
 Counters are *not* part of the determinism contract in top-``k`` mode: how
-many partial mappings the floor prunes depends on which cluster found a good
-incumbent first, which is timing-dependent under concurrent executors.
+many partial mappings the floor prunes depends on which search found a good
+incumbent first.  A query searches its clusters in order, so only searches
+that share a pool concurrently (resilient-mode shard attempts) make that
+timing-dependent.
 """
 
 from __future__ import annotations
@@ -340,9 +342,10 @@ class SearchPolicy:
         incomplete search — beam (the width cut drops different states when
         the floor frees beam slots) or a budget-limited A* (the floor changes
         which states fit into the expansion budget) — the floor's arrival
-        *time* would leak into the result set, breaking determinism under
-        concurrent executors.  Such policies opt out: the engine then runs
-        them without a pool (δ-only pruning, plain top-k truncation).
+        *time* would leak into the result set, breaking determinism wherever
+        searches share a pool concurrently (resilient-mode shard attempts).
+        Such policies opt out: the engine then runs them without a pool
+        (δ-only pruning, plain top-k truncation).
         """
         return True
 
@@ -425,7 +428,7 @@ class BestFirstPolicy(SearchPolicy):
     def supports_shared_pruning(self) -> bool:
         # With an expansion budget the search is incomplete: the incumbent
         # floor would decide which states fit into the budget, making the
-        # result set timing-dependent under concurrent executors.
+        # result set timing-dependent under concurrent shard attempts.
         return self.max_expansions is None
 
     def search_tree(self, context: TreeSearchContext, result: GenerationResult) -> None:
@@ -586,8 +589,8 @@ def run_search(problem: MappingProblem, policy: SearchPolicy) -> GenerationResul
 
     The per-tree searches run in ascending tree-id order (deterministic), each
     over a fresh :class:`TreeSearchContext`; the shared incumbent pool — when
-    the problem carries one — persists across trees *and* across concurrently
-    searched sibling problems.  In top-``k`` mode the returned result is
+    the problem carries one — persists across trees *and* across the sibling
+    problems that share it.  In top-``k`` mode the returned result is
     truncated to the problem's ``top_k`` best mappings (sorted with the
     canonical ranking key), since no global ranking can ever need more than
     ``k`` mappings from one cluster.

@@ -18,12 +18,12 @@ def ranking_sort_key(mapping: SchemaMapping) -> Tuple[float, int, int, Tuple[int
     """The canonical ranking key: score (descending), cluster id, signature.
 
     Every ranked mapping list in the library sorts with this one key so that
-    equal-score mappings rank identically no matter which executor or shard
-    produced them or in which order per-cluster results arrived.  The
-    cluster id breaks ties before the signature so that deduplication keeps a
-    deterministic instance when the same mapping is discovered in several
-    overlapping clusters; clusterless mappings (``cluster_id is None``) sort
-    after clustered ones of the same score.
+    equal-score mappings rank identically no matter which shard produced them
+    or in which order per-cluster results arrived.  The cluster id breaks
+    ties before the signature so that deduplication keeps a deterministic
+    instance when the same mapping is discovered in several overlapping
+    clusters; clusterless mappings (``cluster_id is None``) sort after
+    clustered ones of the same score.
     """
     cluster_id = mapping.cluster_id
     return (

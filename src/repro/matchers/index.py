@@ -446,16 +446,18 @@ class RepositoryNameIndex:
         its node fanout (for the ``comparisons_pruned`` counter).
         """
         query_length = len(query)
-        query_grams = self.query_grams(query) if threshold > 0.0 else ()
-        query_gram_count = len(query_grams)
         ids_by_length = self._ensure_blocking()
 
         survivors: List[int] = []
         pruned_pairs = 0
-        # The posting-list scan is only paid for once some length bucket can
-        # actually use the trigram bound (``min_overlap > 0`` needs a high
-        # threshold); at typical thresholds the length bound does all the
-        # pruning and the overlap counts would be discarded unread.
+        # The query has at most ``gram_ceiling`` padded grams, so a length
+        # bucket whose edit slack reaches the ceiling cannot prune by overlap.
+        # The gram set is built only once some bucket's ceiling bound is
+        # positive, and the posting-list scan only once the exact bound is:
+        # at typical thresholds the length bound does all the pruning and
+        # neither would be read.
+        gram_ceiling = query_length + self.gram_size - 1
+        query_grams = None
         counts: Optional[Dict[int, int]] = None
         fanout = self.fanout
         for length, name_ids in ids_by_length.items():
@@ -464,7 +466,12 @@ class RepositoryNameIndex:
             if abs(length - query_length) > limit:
                 pruned_pairs += self._pairs_by_length[length]
                 continue
-            min_overlap = query_gram_count - limit * _GRAM_SLACK_PER_EDIT
+            slack = limit * _GRAM_SLACK_PER_EDIT
+            min_overlap = 0
+            if gram_ceiling > slack:
+                if query_grams is None:
+                    query_grams = self.query_grams(query)
+                min_overlap = len(query_grams) - slack
             if min_overlap > 0:
                 if counts is None:
                     counts = self.gram_overlap_counts(query_grams)

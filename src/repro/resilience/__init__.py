@@ -13,11 +13,10 @@ search library does not provide on its own:
   retried with capped exponential backoff, and a persistently failing shard
   is skipped (the answer *degrades* to the surviving shards instead of
   failing outright).
-* **Deterministic fault injection** — :class:`FaultPlan`,
-  :class:`FaultInjector` and :class:`ChaosExecutor` describe a seeded
-  schedule of delays/errors/hangs keyed by injection key × call count, which
-  is what makes the two layers above testable (and benchmarkable) without
-  flaky sleeps.
+* **Deterministic fault injection** — :class:`FaultPlan` and
+  :class:`FaultInjector` describe a seeded schedule of delays/errors/hangs
+  keyed by injection key × call count, which is what makes the two layers
+  above testable (and benchmarkable) without flaky sleeps.
 
 Everything here is deterministic by construction: jitter and probabilistic
 faults derive from seeded CRC32 hashes, never from process-random state, so
@@ -26,7 +25,6 @@ a failing chaos trial can be replayed from its seed alone.
 
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import (
-    ChaosExecutor,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -37,7 +35,6 @@ from repro.resilience.retry import BreakerPolicy, CircuitBreaker, RetryPolicy
 
 __all__ = [
     "BreakerPolicy",
-    "ChaosExecutor",
     "CircuitBreaker",
     "Deadline",
     "FaultInjector",

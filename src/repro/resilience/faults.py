@@ -1,12 +1,12 @@
 """Deterministic fault injection.
 
 A :class:`FaultPlan` is a seeded *schedule* of faults, keyed by an injection
-key (the sharded service uses ``"shard-<id>"``, the chaos executor uses
-``"task-<index>"``) crossed with a per-key call counter.  Because the plan is
-data (JSON-serialisable) and every stochastic choice derives from the plan's
-seed via :func:`~repro.resilience.retry.seeded_fraction`, a chaos trial is
-fully described by ``(plan, seed)`` and replays bit-identically — no flaky
-sleeps, no process-random state.
+key (the sharded service uses ``"shard-<id>"``) crossed with a per-key call
+counter.  Because the plan is data (JSON-serialisable) and every stochastic
+choice derives from the plan's seed via
+:func:`~repro.resilience.retry.seeded_fraction`, a chaos trial is fully
+described by ``(plan, seed)`` and replays bit-identically — no flaky sleeps,
+no process-random state.
 
 Three fault kinds:
 
@@ -35,11 +35,10 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import InjectedFaultError
 from repro.resilience.retry import seeded_fraction
-from repro.utils.executor import DelegatingExecutor, TaskExecutor
 
 _FAULT_KINDS = ("delay", "error", "hang")
 _CallSelector = Union[str, Tuple[int, ...], Dict[str, int]]
@@ -229,36 +228,3 @@ class FaultInjector:
             else:  # hang
                 self._sleep(self.plan.hang_ms / 1000.0)
         return fn(*args, **kwargs)
-
-
-class ChaosExecutor(DelegatingExecutor):
-    """A :class:`TaskExecutor` wrapper that routes every task through a
-    :class:`FaultInjector`.
-
-    Keys default to ``"task-<index>"`` (the item's position in the ``map``
-    call); pass ``key_fn(item, index)`` to key faults by item content instead.
-    The injector's call counters live in this process: the wrapped executor
-    must run its tasks here, as :class:`~repro.utils.executor.SerialExecutor`
-    does.
-    """
-
-    name = "chaos"
-
-    def __init__(
-        self,
-        inner: TaskExecutor,
-        injector: FaultInjector,
-        key_fn: Optional[Callable[[object, int], str]] = None,
-    ) -> None:
-        super().__init__(inner)
-        self.injector = injector
-        self.key_fn = key_fn or (lambda _item, index: f"task-{index}")
-
-    def map(self, fn: Callable, items: Sequence) -> List:
-        injector, key_fn = self.injector, self.key_fn
-
-        def run(pair):
-            index, item = pair
-            return injector.call(key_fn(item, index), fn, item)
-
-        return self.inner.map(run, list(enumerate(items)))

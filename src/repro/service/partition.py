@@ -38,7 +38,23 @@ from repro.errors import ClusteringError
 from repro.labeling.distance import RepositoryDistanceOracle
 from repro.matchers.selection import MappingElementSets
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository, shift_tree_keys
+from repro.schema.tree import SchemaTree
 from repro.utils.counters import CounterSet
+
+
+def tree_fragments(tree: SchemaTree, max_fragment_size: int) -> List[List[int]]:
+    """The fragments of one tree before reclustering: sorted node-id lists.
+
+    Fragments come in ascending fragment-id order of
+    :func:`~repro.clustering.baselines.fragment_tree`.  They read only the
+    tree itself, so a streaming writer can fragment a tree that belongs to
+    no repository.
+    """
+    assignment = fragment_tree(tree, max_fragment_size)
+    groups: Dict[int, List[int]] = {}
+    for node_id in tree.node_ids():
+        groups.setdefault(assignment[node_id], []).append(node_id)
+    return [sorted(members) for _, members in sorted(groups.items())]
 
 
 class RepositoryPartition:
@@ -82,12 +98,7 @@ class RepositoryPartition:
         tree_id: int,
         oracle: Optional[RepositoryDistanceOracle],
     ) -> List[List[int]]:
-        tree = repository.tree(tree_id)
-        assignment = fragment_tree(tree, self.max_fragment_size)
-        groups: Dict[int, List[int]] = {}
-        for node_id in tree.node_ids():
-            groups.setdefault(assignment[node_id], []).append(node_id)
-        fragments = [sorted(members) for _, members in sorted(groups.items())]
+        fragments = tree_fragments(repository.tree(tree_id), self.max_fragment_size)
         if self.reclustering is not None:
             offset = repository.tree_offset(tree_id)
             clusters = [

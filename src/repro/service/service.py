@@ -18,10 +18,9 @@ queries:
   repository and patch only the affected index postings, oracle rows and
   partition entries, with results provably identical to a full rebuild
   (``tests/service/test_incremental.py`` pins the equivalence);
-* **cached queries** — per-cluster mapping generation dispatches through
-  a pluggable :class:`~repro.utils.executor.TaskExecutor`, and a bounded LRU
-  of final results keyed by a personal-schema fingerprint answers repeated
-  queries without running the pipeline (the heavy-traffic scenario).
+* **cached queries** — a bounded LRU of final results keyed by a
+  personal-schema fingerprint answers repeated queries without running the
+  pipeline (the heavy-traffic scenario).
 
 Example
 -------
@@ -56,7 +55,6 @@ from repro.system.bellflower import Bellflower
 from repro.system.results import MatchResult
 from repro.system.variants import clustering_variant
 from repro.utils.counters import ThreadSafeCounterSet
-from repro.utils.executor import TaskExecutor
 
 
 class MatchingService(MatcherAPIMixin):
@@ -78,13 +76,8 @@ class MatchingService(MatcherAPIMixin):
         :class:`~repro.service.partition.RepositoryPartition` (precomputed
         offline fragments; the only clusterer whose state a snapshot can
         persist, because k-means clusters depend on the query).
-    element_threshold, delta, use_batch_matching:
+    element_threshold, delta:
         As for :class:`~repro.system.bellflower.Bellflower`.
-    executor:
-        Optional :class:`~repro.utils.executor.TaskExecutor` the per-cluster
-        mapping generation is dispatched through.  Results are identical for
-        every executor; see :mod:`repro.utils.executor` for the determinism
-        contract.
     query_cache_size:
         Capacity of the result cache: final results keyed by (schema
         fingerprint, effective ``δ``, ``top_k``, repository version).  ``0``
@@ -107,8 +100,6 @@ class MatchingService(MatcherAPIMixin):
         variant: Optional[str] = None,
         element_threshold: float = 0.6,
         delta: float = 0.75,
-        use_batch_matching: Optional[bool] = None,
-        executor: Optional[TaskExecutor] = None,
         query_cache_size: int = 64,
         partition_max_fragment_size: int = 20,
         partition_reclustering: Optional[ReclusteringStrategy] = None,
@@ -157,8 +148,6 @@ class MatchingService(MatcherAPIMixin):
             element_threshold=element_threshold,
             delta=delta,
             variant_name=self._variant_name,
-            use_batch_matching=use_batch_matching,
-            executor=executor,
         )
 
     # -- accessors ----------------------------------------------------------
@@ -331,17 +320,14 @@ class MatchingService(MatcherAPIMixin):
         """Operational summary (repository sizes, cache state, service counters).
 
         Everything a monitoring endpoint needs in one JSON-serializable dict:
-        repository sizes and mutation version, the clustering variant, the
-        executor backend answering per-cluster searches, query-cache shape and
-        hit/miss counters, and every service counter.
+        repository sizes and mutation version, the clustering variant,
+        query-cache shape and hit/miss counters, and every service counter.
         """
         summary: Dict[str, object] = dict(self.repository.summary())
         summary["backend"] = self.backend_kind
         summary["protocol_version"] = PROTOCOL_VERSION
         summary["repository_version"] = self.repository.version
         summary["variant"] = self._variant_name or self._system.clusterer.name
-        executor = self._system.executor
-        summary["executor"] = "serial" if executor is None else executor.name
         summary["built_oracles"] = self.oracle.built_oracle_count
         summary["query_cache_capacity"] = self.query_cache_size
         summary["query_cache_entries"] = len(self._result_cache)
@@ -349,9 +335,6 @@ class MatchingService(MatcherAPIMixin):
             summary["partitioned_trees"] = self.partition.built_tree_count
         summary.update(self.counters.as_dict())
         return summary
-
-    def _task_executor(self):
-        return self._system.executor
 
     def _capabilities(self):
         return super()._capabilities() | {"mutations"}

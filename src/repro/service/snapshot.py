@@ -42,7 +42,6 @@ from repro.matchers.name import FuzzyNameMatcher, NGramNameMatcher, TokenNameMat
 from repro.objective.base import ObjectiveFunction
 from repro.service.partition import PartitionClusterer
 from repro.service.service import MatchingService
-from repro.utils.executor import TaskExecutor
 
 # ``repro.storage`` builds on this package (partitions, fingerprints), so its
 # modules are imported where they are used rather than at import time.
@@ -95,7 +94,6 @@ def snapshot_config(
     delta: float,
     matcher: ElementMatcher,
     variant: Optional[str] = PartitionClusterer.name,
-    use_batch_matching: Optional[bool] = None,
     query_cache_size: int = 64,
 ) -> Dict[str, Any]:
     """The header ``config`` block that :func:`load_snapshot` rebuilds a service from.
@@ -110,7 +108,10 @@ def snapshot_config(
         "delta": delta,
         "variant": variant,
         "matcher": _matcher_config(matcher),
-        "use_batch_matching": use_batch_matching,
+        # No loader reads it (every service takes the batch element-matching
+        # path its matcher supports); kept so written files stay
+        # byte-identical.
+        "use_batch_matching": None,
         "query_cache_size": query_cache_size,
     }
 
@@ -134,7 +135,6 @@ def write_snapshot(service: MatchingService, path: str | Path) -> Dict[str, Any]
             delta=service.delta,
             matcher=service.matcher,
             variant=service.variant_name,
-            use_batch_matching=service.system.use_batch_matching,
             query_cache_size=service.query_cache_size,
         )
     )
@@ -183,7 +183,6 @@ def load_snapshot(
     objective: Optional[ObjectiveFunction] = None,
     generator: Optional[MappingGenerator] = None,
     clusterer: Optional[Clusterer] = None,
-    executor: Optional[TaskExecutor] = None,
     partition_reclustering: Optional[ReclusteringStrategy] = None,
     query_cache_size: Optional[int] = None,
 ) -> MatchingService:
@@ -248,8 +247,6 @@ def load_snapshot(
         generator=generator,
         element_threshold=float(config.get("element_threshold", 0.6)),
         delta=float(config.get("delta", 0.75)),
-        use_batch_matching=config.get("use_batch_matching"),
-        executor=executor,
         query_cache_size=(
             int(config.get("query_cache_size", 64))
             if query_cache_size is None

@@ -259,7 +259,6 @@ def rebalance_shard_set(
         matcher=reference.matcher,
         element_threshold=reference.element_threshold,
         delta=reference.delta,
-        use_batch_matching=reference.system.use_batch_matching,
         query_cache_size=reference.query_cache_size,
         partition_max_fragment_size=(
             reference.partition.max_fragment_size

@@ -490,7 +490,7 @@ class ShardedMatchingService(MatcherAPIMixin):
         a ranking that differs from the unsharded service — so every input
         that shapes stage 1-3 results participates: thresholds, the matcher
         (by snapshot descriptor, falling back to its type for custom
-        matchers), the batch-matching mode and the partition's fragment size.
+        matchers) and the partition's fragment size.
         """
         from repro.service.snapshot import _matcher_config
 
@@ -498,7 +498,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         return (
             shard.delta,
             shard.element_threshold,
-            shard.system.use_batch_matching,
             _matcher_config(matcher) or f"custom:{type(matcher).__qualname__}",
             None if shard.partition is None else shard.partition.max_fragment_size,
         )
@@ -586,7 +585,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         matcher: Optional[ElementMatcher] = None,
         element_threshold: float = 0.6,
         delta: float = 0.75,
-        use_batch_matching: Optional[bool] = None,
         query_cache_size: int = 64,
         partition_max_fragment_size: int = 20,
         resilience: Optional[ResiliencePolicy] = None,
@@ -612,7 +610,6 @@ class ShardedMatchingService(MatcherAPIMixin):
                 matcher=matcher,
                 element_threshold=element_threshold,
                 delta=delta,
-                use_batch_matching=use_batch_matching,
                 query_cache_size=query_cache_size,
                 partition_max_fragment_size=partition_max_fragment_size,
             )
@@ -949,7 +946,7 @@ class ShardedMatchingService(MatcherAPIMixin):
 
         The top level mirrors :meth:`MatchingService.stats
         <repro.service.MatchingService.stats>` in merged coordinates (sizes,
-        cache shape, executor, counters); ``per_shard`` holds each shard's
+        cache shape, counters); ``per_shard`` holds each shard's
         own stats dict.
         """
         summary: Dict[str, object] = dict(self.repository.summary())
@@ -959,7 +956,6 @@ class ShardedMatchingService(MatcherAPIMixin):
         summary["router"] = self.router.name
         summary["global_version"] = self.global_version
         summary["repository_version"] = self.repository.version
-        summary["executor"] = "serial"
         summary["query_cache_capacity"] = self.query_cache_size
         summary["query_cache_entries"] = len(self._result_cache)
         if self._fanout is not None:

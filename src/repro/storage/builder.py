@@ -23,10 +23,9 @@ from repro.errors import ReproError
 from repro.labeling.distance import TreeDistanceOracle
 from repro.matchers.index import RepositoryNameIndex
 from repro.matchers.string_metrics import _ngrams
-from repro.schema.repository import SchemaRepository
 from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import schema_fingerprint
-from repro.service.partition import RepositoryPartition
+from repro.service.partition import tree_fragments
 from repro.storage.format import SegmentWriter
 
 
@@ -343,23 +342,6 @@ class _FrozenWriter:
         return writer.write(path, header)
 
 
-def _fragment_single_tree(tree: SchemaTree, max_fragment_size: int) -> List[List[int]]:
-    """Fragment one tree exactly as :class:`RepositoryPartition` would.
-
-    Delegates through a throwaway single-tree repository rather than
-    re-implementing the fragmentation recipe — the partition code is the
-    single source of truth for fragment shapes.
-    """
-    scratch = SchemaRepository(name="freeze-scratch")
-    original_id = tree.tree_id
-    tree.tree_id = -1
-    try:
-        scratch.add_tree(tree)
-        return RepositoryPartition(max_fragment_size=max_fragment_size).fragments_for(scratch, 0)
-    finally:
-        tree.tree_id = original_id
-
-
 def write_frozen_forest(
     path: str | Path,
     trees: Iterable[SchemaTree],
@@ -372,7 +354,8 @@ def write_frozen_forest(
     """Stream ``trees`` into one complete frozen file at ``path``; returns its header.
 
     Each tree is folded in — its oracle payload built from the tree, its
-    partition fragments through :func:`_fragment_single_tree` — and kept by no
+    partition fragments through
+    :func:`~repro.service.partition.tree_fragments` — and kept by no
     reference afterwards, so a lazy iterable is never materialized as a
     forest.  The one name index is re-folded from the streamed forest, the
     construction order of :class:`~repro.matchers.index.RepositoryNameIndex`.
@@ -383,6 +366,6 @@ def write_frozen_forest(
     writer.set_config(config)
     writer.set_partition(max_fragment_size, None)
     for tree in trees:
-        writer.add_tree(tree, fragments=_fragment_single_tree(tree, max_fragment_size))
+        writer.add_tree(tree, fragments=tree_fragments(tree, max_fragment_size))
     writer.add_index_from_forest(case_sensitive)
     return writer.write(path)

@@ -46,7 +46,6 @@ from repro.schema.repository import SchemaRepository
 from repro.schema.tree import SchemaTree
 from repro.system.results import ClusterReport, MatchResult
 from repro.utils.counters import CounterSet
-from repro.utils.executor import TaskExecutor
 from repro.utils.timers import StageTimer
 
 
@@ -71,17 +70,6 @@ class Bellflower(MatcherAPIMixin):
         Minimum element similarity for a pair to become a mapping element.
     delta:
         Default objective-function threshold ``δ`` for :meth:`match`.
-    use_batch_matching:
-        Forwarded to :class:`MappingElementSelector`: ``None`` (default) uses
-        the indexed batch element-matching path whenever the matcher supports
-        it, ``False`` forces the exact per-pair scan.  Both produce identical
-        mapping elements; the batch path is several times faster on large
-        repositories.
-    executor:
-        Optional :class:`~repro.utils.executor.TaskExecutor` the per-cluster
-        mapping generation is dispatched through (``None`` runs clusters
-        serially inline).  Executors return results in cluster order, so the
-        merged ranking, counters and reports are identical for every executor.
     """
 
     backend_kind = "bellflower"
@@ -96,8 +84,6 @@ class Bellflower(MatcherAPIMixin):
         element_threshold: float = 0.6,
         delta: float = 0.75,
         variant_name: Optional[str] = None,
-        use_batch_matching: Optional[bool] = None,
-        executor: Optional[TaskExecutor] = None,
     ) -> None:
         if repository.tree_count == 0:
             raise ConfigurationError("Bellflower needs a non-empty schema repository")
@@ -111,8 +97,6 @@ class Bellflower(MatcherAPIMixin):
         self.element_threshold = element_threshold
         self.delta = delta
         self.variant_name = variant_name or self.clusterer.name
-        self.use_batch_matching = use_batch_matching
-        self.executor = executor
         self.oracle = RepositoryDistanceOracle(repository)
 
     # -- stage 1: element matching -------------------------------------------------
@@ -120,12 +104,13 @@ class Bellflower(MatcherAPIMixin):
     def element_matching(
         self, personal_schema: SchemaTree, counters: Optional[CounterSet] = None
     ) -> MappingElementSets:
-        """Run the element matcher over (personal schema × repository)."""
-        selector = MappingElementSelector(
-            self.matcher,
-            threshold=self.element_threshold,
-            use_batch=self.use_batch_matching,
-        )
+        """Run the element matcher over (personal schema × repository).
+
+        Takes the indexed batch path whenever the matcher supports it; the
+        selector's ``use_batch=False`` per-pair scan is the reference it
+        equals.
+        """
+        selector = MappingElementSelector(self.matcher, threshold=self.element_threshold)
         return selector.select(personal_schema, self.repository, counters=counters)
 
     # -- stage 2: clustering ---------------------------------------------------------
@@ -150,11 +135,9 @@ class Bellflower(MatcherAPIMixin):
 
         The candidate table is divided among all clusters in one pass
         (:func:`~repro.clustering.cluster.split_candidates`); only the useful
-        clusters get a restricted table and a search.  The per-cluster
-        searches are independent (each gets its own restricted candidate sets
-        and its own result object); when an ``executor`` is configured they
-        are dispatched through it and gathered back *in cluster order*, so
-        mappings, counters and reports are bit-identical to the serial path.
+        clusters get a restricted table and a search, one after another in
+        cluster order.  Each search gets its own restricted candidate sets and
+        its own result object, folded into the merged result as it finishes.
         ``elapsed_seconds`` is the sum of per-cluster search times.
 
         ``top_k`` restricts the search to the ``k`` best mappings overall: the
@@ -184,9 +167,18 @@ class Bellflower(MatcherAPIMixin):
             pool = shared_pool if shared_pool is not None else TopKPool(top_k)
         merged = GenerationResult()
         reports: List[ClusterReport] = []
-        problems: List[MappingProblem] = []
+        per_cluster_mappings = []
         for cluster, restricted in split_candidates(clustering.clusters, candidates).useful():
-            problems.append(
+            reports.append(
+                ClusterReport(
+                    cluster_id=cluster.cluster_id,
+                    tree_id=cluster.tree_id,
+                    member_count=cluster.size,
+                    mapping_element_count=restricted.total(),
+                    search_space=candidate_search_space(restricted),
+                )
+            )
+            result = self.generator.generate(
                 MappingProblem(
                     personal_schema=personal_schema,
                     candidates=restricted,
@@ -199,21 +191,6 @@ class Bellflower(MatcherAPIMixin):
                     deadline=deadline,
                 )
             )
-            reports.append(
-                ClusterReport(
-                    cluster_id=cluster.cluster_id,
-                    tree_id=cluster.tree_id,
-                    member_count=cluster.size,
-                    mapping_element_count=restricted.total(),
-                    search_space=candidate_search_space(restricted),
-                )
-            )
-        if self.executor is not None:
-            results = self.executor.map(self.generator.generate, problems)
-        else:
-            results = [self.generator.generate(problem) for problem in problems]
-        per_cluster_mappings = []
-        for result in results:
             per_cluster_mappings.append(result.mappings)
             merged.counters.merge(result.counters)
             merged.elapsed_seconds += result.elapsed_seconds
@@ -315,7 +292,6 @@ class Bellflower(MatcherAPIMixin):
         summary["backend"] = self.backend_kind
         summary["protocol_version"] = PROTOCOL_VERSION
         summary["variant"] = self.variant_name
-        summary["executor"] = "serial" if self.executor is None else self.executor.name
         summary["delta"] = self.delta
         summary["element_threshold"] = self.element_threshold
         return summary

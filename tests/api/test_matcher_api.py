@@ -29,7 +29,7 @@ class TestProtocol:
         assert card["protocol_version"] == PROTOCOL_VERSION
         assert card["delta"] == 0.6
         assert card["element_threshold"] == 0.5
-        assert card["executor"] == "serial"
+        assert "executor" not in card
         assert {"match", "match_many", "top_k", "stats", "describe"} <= set(card["capabilities"])
         assert card["repository"]["trees"] > 0
         assert card["repository"]["nodes"] > 0
@@ -38,6 +38,7 @@ class TestProtocol:
         stats = backend.stats()
         assert stats["backend"] == backend.backend_kind
         assert stats["protocol_version"] == PROTOCOL_VERSION
+        assert "executor" not in stats
         assert stats["trees"] > 0
 
     def test_mutation_capability_matches_the_backend(self, backend):

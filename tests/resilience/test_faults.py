@@ -1,4 +1,4 @@
-"""FaultPlan schedules, the injector, and the chaos executor."""
+"""FaultPlan schedules and the injector."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import json
 import pytest
 
 from repro.errors import InjectedFaultError
-from repro.resilience import ChaosExecutor, FaultInjector, FaultPlan, FaultSpec, load_fault_plan
-from repro.utils.executor import SerialExecutor, TaskExecutor
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec, load_fault_plan
 
 
 class TestFaultSpecSelectors:
@@ -145,63 +144,3 @@ class TestFaultInjector:
         assert injector.call("b", lambda: "ok") == "ok"  # b#0
         with pytest.raises(InjectedFaultError):
             injector.call("a", lambda: "ok")  # a#1
-
-
-class TestChaosExecutor:
-    def test_preserves_order_and_injects_by_task_index(self):
-        plan = FaultPlan(specs=(FaultSpec(key="task-1", kind="delay", delay_ms=1.0),))
-        naps = []
-        injector = FaultInjector(plan, sleep=naps.append)
-        executor = ChaosExecutor(SerialExecutor(), injector)
-        assert executor.map(lambda x: x * 10, [1, 2, 3]) == [10, 20, 30]
-        assert naps == [0.001]
-
-    def test_errors_propagate_through_map(self):
-        plan = FaultPlan(specs=(FaultSpec(key="task-0", kind="error"),))
-        executor = ChaosExecutor(SerialExecutor(), FaultInjector(plan))
-        with pytest.raises(InjectedFaultError):
-            executor.map(lambda x: x, [1, 2])
-
-    def test_custom_key_fn(self):
-        plan = FaultPlan(specs=(FaultSpec(key="item-b", kind="error"),))
-        executor = ChaosExecutor(
-            SerialExecutor(),
-            FaultInjector(plan),
-            key_fn=lambda item, _index: f"item-{item}",
-        )
-        with pytest.raises(InjectedFaultError):
-            executor.map(lambda x: x, ["a", "b"])
-
-    def test_wraps_any_task_executor(self):
-        # Keys follow each item's input position, not the order the inner
-        # executor happens to run the tasks in.
-        class Reversing(TaskExecutor):
-            name = "reversing"
-
-            def map(self, fn, items):
-                return list(reversed([fn(item) for item in reversed(items)]))
-
-        plan = FaultPlan(specs=(FaultSpec(key="task-2", kind="error", message="third"),))
-        executor = ChaosExecutor(Reversing(), FaultInjector(plan))
-        assert executor.map(lambda x: x + 1, [0, 1]) == [1, 2]
-        with pytest.raises(InjectedFaultError, match=r"third \(key=task-2\)"):
-            executor.map(lambda x: x + 1, list(range(8)))
-
-    def test_call_counters_carry_across_map_calls(self):
-        plan = FaultPlan(specs=(FaultSpec(key="task-0", kind="error", calls=[1]),))
-        executor = ChaosExecutor(SerialExecutor(), FaultInjector(plan))
-        assert executor.map(lambda x: x, ["a"]) == ["a"]  # task-0#0
-        with pytest.raises(InjectedFaultError):
-            executor.map(lambda x: x, ["b"])  # task-0#1
-        assert executor.map(lambda x: x, ["c"]) == ["c"]  # task-0#2
-
-    def test_close_closes_the_wrapped_executor(self):
-        closed = []
-
-        class Closing(SerialExecutor):
-            def close(self):
-                closed.append(True)
-
-        with ChaosExecutor(Closing(), FaultInjector(FaultPlan(specs=()))) as executor:
-            assert executor.map(lambda x: x, [1]) == [1]
-        assert closed == [True]

@@ -1,4 +1,4 @@
-"""MatchingService behaviour: result cache, executors, partition clusterer."""
+"""MatchingService behaviour: result cache, top-k queries, partition clusterer."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.service import (
     RepositoryPartition,
     schema_fingerprint,
 )
-from repro.utils.executor import SerialExecutor
+from repro.service.partition import tree_fragments
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
@@ -288,25 +288,6 @@ class TestTopKQueries:
         assert result_key(top) == result_key(complete)[:1]
 
 
-class TestExecutors:
-    @pytest.mark.parametrize("executor", [None, SerialExecutor()], ids=["inline", "serial"])
-    def test_all_executors_produce_identical_results(self, service_repository, executor):
-        service = MatchingService(service_repository, element_threshold=0.5, executor=executor)
-        reference = MatchingService(service_repository, element_threshold=0.5)
-        for schema in (paper_personal_schema(), contact_personal_schema()):
-            assert result_key(service.match(schema)) == result_key(reference.match(schema))
-
-    def test_kmeans_variant_through_an_executor_matches_inline(self, service_repository):
-        with SerialExecutor() as executor:
-            routed = MatchingService(
-                service_repository, variant="medium", element_threshold=0.5, executor=executor
-            )
-            inline = MatchingService(service_repository, variant="medium", element_threshold=0.5)
-            assert result_key(routed.match(paper_personal_schema())) == result_key(
-                inline.match(paper_personal_schema())
-            )
-
-
 class TestPartitionClusterer:
     def test_matches_fragment_clusterer_without_reclustering(self, service_repository):
         """The precomputed partition must reproduce the online fragmenter exactly."""
@@ -333,6 +314,29 @@ class TestPartitionClusterer:
         }
         # Exactly the trees holding mapping elements were fragmented — no more.
         assert service.partition.built_tree_count == len(trees_with_elements)
+
+
+class TestTreeFragments:
+    @pytest.mark.parametrize("max_fragment_size", [1, 5, 20])
+    def test_fragments_are_connected_capped_and_cover_the_tree(
+        self, service_repository, max_fragment_size
+    ):
+        for tree in service_repository.trees():
+            fragments = tree_fragments(tree, max_fragment_size)
+            assert sorted(node for fragment in fragments for node in fragment) == list(
+                tree.node_ids()
+            )
+            position = {node_id: index for index, node_id in enumerate(tree.preorder())}
+            tops = []
+            for fragment in fragments:
+                assert fragment == sorted(fragment)
+                assert len(fragment) <= max_fragment_size
+                members = set(fragment)
+                # Connected: exactly one member's parent lies outside it.
+                (top,) = [node for node in fragment if tree.parent_id(node) not in members]
+                tops.append(position[top])
+            # Fragments come in the preorder of their top nodes.
+            assert tops == sorted(tops)
 
 
 class TestConfiguration:

@@ -30,8 +30,10 @@ from repro.service import (
     load_snapshot,
     write_snapshot,
 )
+from repro.service.snapshot import snapshot_config
 from repro.shard import ShardedMatchingService, load_shard_set, write_shard_set
 from repro.storage import open_frozen
+from repro.storage.builder import write_frozen_forest
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import (
     book_personal_schema,
@@ -88,6 +90,32 @@ class TestSnapshotRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1866a5dbd86d2731234c644c7884fe981ed133a01d5cf7f2fa542757dda2331d"
         )
+
+    @pytest.mark.parametrize("recorded", [None, False, True])
+    def test_loaders_ignore_the_recorded_batch_matching_mode(self, tmp_path, recorded):
+        # Writers record null; a file that says otherwise still loads a
+        # service that takes the indexed batch path and answers the same.
+        service = MatchingService(make_repository(9), element_threshold=0.5)
+        config = snapshot_config(
+            element_threshold=service.element_threshold,
+            delta=service.delta,
+            matcher=service.matcher,
+        )
+        assert config["use_batch_matching"] is None
+        path = tmp_path / "snapshot.frozen"
+        write_frozen_forest(
+            path,
+            service.repository.trees(),
+            repository_name=service.repository.name,
+            config=dict(config, use_batch_matching=recorded),
+            max_fragment_size=20,
+            case_sensitive=service.matcher.case_sensitive,
+        )
+        loaded = load_snapshot(path)
+        schema = paper_personal_schema()
+        restored = loaded.match(schema)
+        assert result_key(restored) == result_key(service.match(schema))
+        assert restored.counters.get("index_hits") > 0
 
     def test_loaded_service_needs_no_rebuild(self, tmp_path, monkeypatch):
         """Every index, oracle and partition row comes from the file, never a rebuild."""

@@ -1,7 +1,7 @@
 """Shared fixtures for the shard-layer tests.
 
 One module-scoped repository + unsharded reference service keeps the
-equivalence matrix (shard counts × routers × executors) affordable: the
+equivalence matrix (shard counts × routers) affordable: the
 reference results are computed once and every sharded configuration is
 compared against them.
 """

@@ -289,11 +289,12 @@ class TestViewAndStats:
         stats = service.stats()
         assert stats["shards"] == 3
         assert stats["trees"] == shard_repository.tree_count
-        assert stats["executor"] == "serial"
+        assert "executor" not in stats
         assert stats["query_cache_capacity"] == 64
         assert len(stats["per_shard"]) == 3
         assert sum(entry["trees"] for entry in stats["per_shard"]) == shard_repository.tree_count
         for shard_id, entry in enumerate(stats["per_shard"]):
             assert entry["shard"] == shard_id
             assert entry["variant"] == "partition"
+            assert "executor" not in entry
             assert "repository_version" in entry

@@ -33,10 +33,12 @@ from _equivalence import (  # noqa: E402
 from repro.errors import ReproError, ShardError
 from repro.mapping.branch_and_bound import BranchAndBoundGenerator
 from repro.matchers.name import FuzzyNameMatcher
+from repro.matchers.index import RepositoryNameIndex
 from repro.objective.bellflower import BellflowerObjective
 from repro.schema.builder import TreeBuilder
 from repro.schema.repository import SchemaRepository
 from repro.service import MatchingService, load_snapshot, write_snapshot
+from repro.service.snapshot import snapshot_config
 from repro.shard import (
     RoundRobinRouter,
     ShardedMatchingService,
@@ -51,6 +53,7 @@ from repro.storage import (
     FrozenRepositoryDistanceOracle,
     open_frozen,
 )
+from repro.storage.builder import write_frozen_forest
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
@@ -273,6 +276,30 @@ class TestFrozenIndexParity:
                 )
                 assert pruned == expected, (type(index).__name__, query, threshold)
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["plain", "frozen"])
+    @pytest.mark.parametrize("threshold", [0.6, 0.92])
+    def test_the_query_gram_set_is_built_only_when_a_bucket_can_prune(
+        self, index_pair, queries, threshold, which, monkeypatch
+    ):
+        # A query of length L has at most L + 2 padded trigrams.  At 0.6 every
+        # bucket's edit slack exceeds that, so no gram set is built; at 0.92 a
+        # query of 5+ characters whose own length has a bucket gets one set.
+        index = index_pair[which]
+        built = []
+        real = RepositoryNameIndex.query_grams
+
+        def counting(self, query):
+            built.append(query)
+            return real(self, query)
+
+        monkeypatch.setattr(RepositoryNameIndex, "query_grams", counting)
+        keys = set(index_pair[0].keys)
+        indexed = [query for query in queries if len(query) >= 5 and query in keys]
+        assert len(indexed) >= 10
+        for query in indexed:
+            index.fuzzy_candidates(query, threshold)
+        assert built == ([] if threshold == 0.6 else indexed)
+
     @pytest.mark.parametrize("threshold", [0.6, 0.92])
     def test_the_scan_decodes_no_key_and_no_ref_list(self, parity_snapshot, queries, threshold):
         # Length buckets and pruned-pair counts come from mapped offsets and
@@ -283,6 +310,31 @@ class TestFrozenIndexParity:
             index.fuzzy_candidates(query, threshold)
         assert not index.keys._cache
         assert not index._refs._cache
+
+
+class TestStreamingForestWriter:
+    @pytest.mark.parametrize("max_fragment_size", [1, 5, 20])
+    def test_writes_what_write_snapshot_writes(self, tmp_path, max_fragment_size):
+        service = make_service(seed=31, nodes=400, partition_max_fragment_size=max_fragment_size)
+        write_snapshot(service, tmp_path / "service.frozen")
+        trees = list(service.repository.trees())
+        write_frozen_forest(
+            tmp_path / "forest.frozen",
+            iter(trees),
+            repository_name=service.repository.name,
+            config=snapshot_config(
+                element_threshold=service.element_threshold,
+                delta=service.delta,
+                matcher=service.matcher,
+            ),
+            max_fragment_size=max_fragment_size,
+            case_sensitive=service.matcher.case_sensitive,
+        )
+        assert (tmp_path / "forest.frozen").read_bytes() == (
+            tmp_path / "service.frozen"
+        ).read_bytes()
+        # Fragmenting a streamed tree leaves it as its repository holds it.
+        assert [tree.tree_id for tree in trees] == list(range(service.repository.tree_count))
 
 
 class TestMutationThaw:

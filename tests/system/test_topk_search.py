@@ -1,5 +1,5 @@
 """Top-k matching through the full pipeline: result semantics, cross-cluster
-bound sharing, and determinism through the executor seam."""
+bound sharing, and determinism across repeated queries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.system.bellflower import Bellflower
 from repro.system.variants import clustering_variant
-from repro.utils.executor import SerialExecutor
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
 
@@ -60,17 +59,16 @@ class TestTopKSemantics:
         assert top.ranking_key() == complete.ranking_key()[:5]
 
 
-class TestTopKExecutorDeterminism:
+class TestTopKDeterminism:
     @pytest.mark.parametrize("k", [1, 5])
-    def test_identical_rankings_under_every_executor(self, synthetic_repository, k):
-        serial_system = Bellflower(synthetic_repository, element_threshold=0.5, delta=0.6)
-        reference = serial_system.match(paper_personal_schema(), top_k=k).ranking_key()
-
-        with SerialExecutor() as executor:
-            system = Bellflower(
-                synthetic_repository, element_threshold=0.5, delta=0.6, executor=executor
-            )
-            # Repeat: the shared floor carries no state from one query to the
-            # next, so the ranking must never move.
-            for _ in range(3):
-                assert system.match(paper_personal_schema(), top_k=k).ranking_key() == reference
+    def test_repeated_queries_keep_the_ranking(self, synthetic_repository, k):
+        reference = (
+            Bellflower(synthetic_repository, element_threshold=0.5, delta=0.6)
+            .match(paper_personal_schema(), top_k=k)
+            .ranking_key()
+        )
+        system = Bellflower(synthetic_repository, element_threshold=0.5, delta=0.6)
+        # Repeat: the shared floor carries no state from one query to the
+        # next, so the ranking must never move.
+        for _ in range(3):
+            assert system.match(paper_personal_schema(), top_k=k).ranking_key() == reference

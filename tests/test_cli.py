@@ -111,11 +111,21 @@ class TestExperimentCommand:
         assert "unknown experiment" in capsys.readouterr().err
 
 
+#: The resilience flags a single snapshot rejects (the plan file need not exist:
+#: the check runs before anything is read), and the error they get.
+SHARD_ONLY_FLAGS = pytest.mark.parametrize(
+    "flag",
+    [["--retries", "2"], ["--hedge-ms", "50"], ["--fault-plan", "plan.json"]],
+    ids=["retries", "hedge-ms", "fault-plan"],
+)
+SHARD_ONLY_ERROR = "--retries, --hedge-ms and --fault-plan require --shards"
+
+
 class TestSnapshotQueryCommands:
     @pytest.fixture
     def snapshot_path(self, tmp_path, repository_file, capsys):
         path = tmp_path / "repo.snapshot.frozen"
-        # The tree variant gives every query useful clusters, so task-0 exists.
+        # The tree variant gives every query useful clusters.
         assert main(
             ["snapshot", "--repository", str(repository_file), "--variant", "tree", "--out", str(path)]
         ) == 0
@@ -135,11 +145,6 @@ class TestSnapshotQueryCommands:
                 *extra,
             ]
         )
-
-    def write_plan(self, tmp_path, spec):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"seed": 7, "specs": [spec]}), encoding="utf-8")
-        return str(path)
 
     def test_inspect_prints_the_header_the_snapshot_command_wrote(
         self, tmp_path, repository_file, capsys
@@ -161,46 +166,89 @@ class TestSnapshotQueryCommands:
         assert "useful clusters" in output
         assert "#1 " in output
 
-    def test_a_delay_plan_keeps_the_ranking(self, snapshot_path, tmp_path, capsys):
-        assert self.query(snapshot_path) == 0
-        expected = capsys.readouterr().out
-        plan = self.write_plan(tmp_path, {"key": "task-0", "kind": "delay", "delay_ms": 5})
-        assert self.query(snapshot_path, "--fault-plan", plan) == 0
-        assert capsys.readouterr().out == expected
-
-    def test_an_error_plan_exits_with_the_injected_message(self, snapshot_path, tmp_path, capsys):
-        plan = self.write_plan(
-            tmp_path, {"key": "task-0", "kind": "error", "message": "cluster task down"}
-        )
-        assert self.query(snapshot_path, "--fault-plan", plan) == 2
-        assert "cluster task down (key=task-0)" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag", [["--retries", "2"], ["--hedge-ms", "50"]], ids=["retries", "hedge-ms"]
-    )
+    @SHARD_ONLY_FLAGS
     def test_shard_failover_flags_without_shards_are_an_error(self, snapshot_path, flag, capsys):
         assert self.query(snapshot_path, *flag) == 2
-        assert "--retries and --hedge-ms require --shards" in capsys.readouterr().err
+        assert SHARD_ONLY_ERROR in capsys.readouterr().err
+
+    @SHARD_ONLY_FLAGS
+    def test_serve_rejects_shard_failover_flags_without_shards(
+        self, snapshot_path, flag, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{MATCH_LINE}\n"))
+        assert main(["serve", "--snapshot", str(snapshot_path), *flag]) == 2
+        captured = capsys.readouterr()
+        assert SHARD_ONLY_ERROR in captured.err
+        assert captured.out == ""
+
+
+class TestShardFaultPlans:
+    """``--fault-plan`` drives the shard fan-out's injector from the CLI."""
+
+    PERSONAL = {"person": ["name", "email"]}
+
+    @pytest.fixture
+    def manifest(self, tmp_path, repository_file, capsys):
+        out_dir = tmp_path / "shards"
+        assert main(
+            [
+                "shard", "split",
+                "--repository", str(repository_file),
+                "--shards", "3",
+                "--max-fragment-size", "200",
+                "--out-dir", str(out_dir),
+            ]
+        ) == 0
+        capsys.readouterr()
+        return str(out_dir / "manifest.json")
+
+    def write_plan(self, tmp_path, spec):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"seed": 7, "specs": [spec]}), encoding="utf-8")
+        return str(path)
+
+    def query(self, manifest, *extra):
+        return main(
+            [
+                "query", "--shards", manifest,
+                "--personal", json.dumps(self.PERSONAL),
+                "--top-k", "3",
+                *extra,
+            ]
+        )
+
+    def test_a_delay_plan_keeps_the_ranking(self, manifest, tmp_path, capsys):
+        assert self.query(manifest) == 0
+        expected = capsys.readouterr().out
+        assert "#1 " in expected
+        plan = self.write_plan(tmp_path, {"key": "shard-0", "kind": "delay", "delay_ms": 5})
+        assert self.query(manifest, "--fault-plan", plan) == 0
+        assert capsys.readouterr().out == expected
 
     def test_serve_answers_an_injected_error_and_keeps_serving(
-        self, snapshot_path, tmp_path, capsys, monkeypatch
+        self, manifest, tmp_path, capsys, monkeypatch
     ):
-        # The first query's task-0 fails; the plan's call counter lets the
-        # second through, so the loop must still be up to answer it.
+        # Every shard's first call fails and --retries 1 allows no second
+        # attempt, so the first request has no surviving shard; the plan's
+        # call counters let the second through, so the loop must still be up
+        # to answer it.
         plan = self.write_plan(
-            tmp_path, {"key": "task-0", "kind": "error", "calls": [0], "message": "first only"}
+            tmp_path, {"key": "*", "kind": "error", "calls": [0], "message": "first only"}
         )
         request = json.dumps(
-            {"v": 1, "kind": "match", "schema": {"person": ["name", "email"]}, "options": {"top_k": 3}}
+            {"v": 1, "kind": "match", "schema": self.PERSONAL, "options": {"top_k": 3}}
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{request}\n{request}\n"))
-        assert main(["serve", "--snapshot", str(snapshot_path), "--fault-plan", plan]) == 0
+        assert main(
+            ["serve", "--shards", manifest, "--retries", "1", "--fault-plan", plan]
+        ) == 0
         ready, failed, answered = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert ready["kind"] == "ready"
         assert failed["kind"] == "error"
-        assert "first only (key=task-0)" in failed["error"]
+        assert "all 3 shards failed" in failed["error"]
         assert answered["kind"] == "match_response"
         assert answered["mapping_count"] >= 1
+        assert not answered["degraded"]
 
 
 class TestRemovedPoolFlags:
@@ -412,10 +460,10 @@ class TestServeLoop:
         assert responses[2]["kind"] == "error"
         assert responses[3]["stats"]["trees_added"] == 1
 
-    def test_stats_report_cache_shape_and_executor(self, service):
+    def test_stats_report_cache_shape_without_an_executor(self, service):
         (response,) = _serve(service, ['{"v": 1, "kind": "stats"}'])
         stats = response["stats"]
-        assert stats["executor"] == "serial"
+        assert "executor" not in stats
         assert stats["query_cache_capacity"] == 64
         assert "repository_version" in stats
 
