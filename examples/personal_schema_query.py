@@ -41,8 +41,7 @@ def main() -> None:
         tree = repository.tree(mapping.tree_id)
         targets = []
         for node_id, element in sorted(mapping.assignment.items()):
-            path = "/".join(tree.root_path_names(element.ref.node_id))
-            targets.append(f"{personal.node(node_id).name} -> /{path}")
+            targets.append(f"{personal.node(node_id).name} -> {tree.root_path(element.ref.node_id)}")
         print(f"  #{rank} Δ={mapping.score:.3f} in {tree.name}")
         for target in targets:
             print(f"      {target}")

@@ -141,8 +141,7 @@ def _print_result(repository, personal, result, top: int, delta: float, variant_
         tree = repository.tree(mapping.tree_id)
         print(f"#{rank} Δ={mapping.score:.3f} in {tree.name}")
         for node_id, element in sorted(mapping.assignment.items()):
-            path = "/".join(tree.root_path_names(element.ref.node_id))
-            print(f"    {personal.node(node_id).name} -> /{path}")
+            print(f"    {personal.node(node_id).name} -> {tree.root_path(element.ref.node_id)}")
 
 
 def _command_match(args: argparse.Namespace) -> int:

@@ -36,6 +36,8 @@ class SchemaTree:
         self._children: List[List[int]] = []
         self._depth: List[int] = []
         self._root_id: Optional[int] = None
+        # node id -> rendered root path (see root_path).
+        self._root_paths: Dict[int, str] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -306,6 +308,37 @@ class SchemaTree:
         """Names from the root down to ``node_id`` (a human-readable location path)."""
         ids = [node_id, *self.ancestors(node_id)]
         return [self._nodes[i].name for i in reversed(ids)]
+
+    def root_path(self, node_id: int) -> str:
+        """The root path of ``node_id`` as one string: ``"/" + "/".join(root_path_names)``.
+
+        Rendered once per node and memoized, together with every ancestor's
+        path rendered on the way.  An entry never goes stale: a tree only
+        appends nodes, and a node's name is set before it is attached.
+        Threads that render the same node at once store equal strings, so
+        the memo needs no lock.
+        """
+        paths = self._root_paths
+        path = paths.get(node_id)
+        if path is not None:
+            return path
+        if not self.has_node(node_id):
+            raise UnknownNodeError(node_id, context=f"schema tree {self.name!r}")
+        parents = self._parent
+        unrendered = []
+        current = node_id
+        while current != -1:
+            path = paths.get(current)
+            if path is not None:
+                break
+            unrendered.append(current)
+            current = parents[current]
+        else:
+            path = ""
+        nodes = self._nodes
+        for current in reversed(unrendered):
+            path = paths[current] = f"{path}/{nodes[current].name}"
+        return path
 
     def __len__(self) -> int:
         return self.node_count

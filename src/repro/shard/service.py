@@ -88,7 +88,7 @@ from repro.matchers.index import LRUMemo
 from repro.matchers.selection import MappingElement, MappingElementSets
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.serialization import tree_from_dict, tree_to_dict
-from repro.resilience.fanout import ResiliencePolicy, ResilientFanout
+from repro.resilience.fanout import ResiliencePolicy, ResilientFanout, TaskOutcome
 from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer
@@ -162,6 +162,13 @@ class _ShardSignatureTranslator:
         return tuple(
             local_id + deltas[bisect_right(starts, local_id) - 1] for local_id in signature
         )
+
+
+def _failure_cause(outcome: TaskOutcome) -> Optional[str]:
+    """Why a shard's task failed: its skip reason and its last error, as far as known."""
+    if outcome.skipped_reason and outcome.error:
+        return f"{outcome.skipped_reason} ({outcome.error})"
+    return outcome.skipped_reason or outcome.error
 
 
 def _run_shard_query(task) -> MatchResult:
@@ -777,8 +784,7 @@ class ShardedMatchingService(MatcherAPIMixin):
                 skipped = tuple(outcome.task_id for outcome in window if not outcome.ok)
                 if not pairs:
                     reasons = "; ".join(
-                        f"shard {outcome.task_id}: {outcome.skipped_reason or outcome.error}"
-                        for outcome in window
+                        f"shard {outcome.task_id}: {_failure_cause(outcome)}" for outcome in window
                     )
                     raise ShardError(f"all {self.shard_count} shards failed ({reasons})")
             merged = self._merge_results(pairs, top_k, skipped=skipped)

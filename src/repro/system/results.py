@@ -9,7 +9,7 @@ counters of the generator, and per-stage wall-clock times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.clustering.kmeans import ClusteringResult
 from repro.mapping.base import GenerationResult
@@ -17,6 +17,9 @@ from repro.mapping.model import SchemaMapping
 from repro.matchers.selection import MappingElementSets
 from repro.utils.counters import CounterSet
 from repro.utils.timers import StageTimer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.envelope import MappingRecord
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,13 @@ class MatchResult:
     degraded: bool = False
     #: Shard ids the sharded service skipped for a degraded answer.
     skipped_shards: Tuple[int, ...] = ()
+    #: Wire records :func:`repro.api.encode.match_response` rendered for this
+    #: result: ``(repository version, records by rank)``, ``None`` at ranks
+    #: no page has shown yet.  A result the result cache shares keeps them,
+    #: so a repeated query pays only for paging.
+    rendered_records: Optional[Tuple[int, List[Optional["MappingRecord"]]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- Table 1a style properties -------------------------------------------------
 

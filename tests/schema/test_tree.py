@@ -128,3 +128,7 @@ def test_find_by_name_and_root_path(library_tree):
     assert library_tree.find_by_name("TITLE") == []
     assert library_tree.find_by_name("TITLE", case_sensitive=False) == [TITLE]
     assert library_tree.root_path_names(AUTHOR_NAME) == ["lib", "book", "data", "authorName"]
+    assert library_tree.root_path(AUTHOR_NAME) == "/lib/book/data/authorName"
+    assert library_tree.root_path(LIB) == "/lib"
+    with pytest.raises(UnknownNodeError):
+        library_tree.root_path(99)

@@ -85,3 +85,18 @@ def test_subtree_sizes_sum_to_descendant_counts(tree):
     for node_id in tree.node_ids():
         children = tree.children_ids(node_id)
         assert tree.subtree_size(node_id) == 1 + sum(tree.subtree_size(c) for c in children)
+
+
+@given(random_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_memoized_root_paths_join_the_root_path_names(tree, data):
+    # Render in any order, then grow the tree: appended nodes never
+    # change a rendered path, and new nodes render from their parent's.
+    order = data.draw(st.permutations(list(tree.node_ids())))
+    for node_id in order:
+        assert tree.root_path(node_id) == "/" + "/".join(tree.root_path_names(node_id))
+    parent = data.draw(st.sampled_from(list(tree.node_ids())))
+    child = tree.add_child(parent, SchemaNode(name="appended")).node_id
+    for node_id in tree.node_ids():
+        assert tree.root_path(node_id) == "/" + "/".join(tree.root_path_names(node_id))
+    assert tree.root_path(child) == tree.root_path(parent) + "/appended"

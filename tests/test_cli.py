@@ -246,6 +246,12 @@ class TestShardFaultPlans:
         assert ready["kind"] == "ready"
         assert failed["kind"] == "error"
         assert "all 3 shards failed" in failed["error"]
+        # Exhausted retries keep the injected cause next to the skip reason.
+        for shard_id in range(3):
+            assert (
+                f"shard {shard_id}: retries-exhausted "
+                f"(InjectedFaultError: first only (key=shard-{shard_id}))"
+            ) in failed["error"]
         assert answered["kind"] == "match_response"
         assert answered["mapping_count"] >= 1
         assert not answered["degraded"]
