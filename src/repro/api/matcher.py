@@ -35,9 +35,8 @@ from repro.errors import InvalidRequestError
 from repro.resilience.deadline import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matchers.index import LRUMemo
     from repro.schema.tree import SchemaTree
-    from repro.system.results import MatchResult
+    from repro.system.results import MatchResult, ResultCache
     from repro.utils.counters import CounterSet
 
 
@@ -83,7 +82,7 @@ class MatcherAPIMixin:
     #: Final results of earlier queries, keyed ``(schema fingerprint,
     #: effective δ, top_k, version)``; ``None`` on a backend that only
     #: deduplicates within a batch.
-    _result_cache: Optional["LRUMemo"] = None
+    _result_cache: Optional["ResultCache"] = None
     #: Front-end counters; ``None`` on a stateless backend.
     counters: Optional["CounterSet"] = None
 
@@ -185,7 +184,8 @@ class MatcherAPIMixin:
         The one batch front end: the default batch path, and the one the
         bundled services route theirs through.  Schemas with equal
         ``_result_key`` collapse to one entry and share its result object;
-        an entry the result cache holds is answered with the stored object;
+        an entry the result cache holds is answered with the stored object
+        (or, for a repeat the recent segment has let go, its compact copy);
         ``compute(schemas)`` answers the remaining entries, in order, in one
         call.  Only a whole answer is cached: a deadline-partial or degraded
         result is not the answer its key names.  A ``None`` key (a matcher

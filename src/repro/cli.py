@@ -131,7 +131,7 @@ def _print_result(repository, personal, result, top: int, delta: float, variant_
     summary = result.summary()
     print(
         f"repository: {repository.tree_count} trees, {repository.node_count} nodes; "
-        f"mapping elements: {result.candidates.total()}; variant: {variant_name}"
+        f"mapping elements: {result.counters.get('mapping_elements')}; variant: {variant_name}"
     )
     print(
         f"useful clusters: {summary['useful_clusters']}, search space: {summary['search_space']}, "

@@ -110,6 +110,11 @@ class LRUMemo:
         with self._lock:
             self._entries.clear()
 
+    def keys(self) -> List[Hashable]:
+        """The keys held, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -44,7 +44,6 @@ from repro.errors import ConfigurationError
 from repro.labeling.distance import RepositoryDistanceOracle
 from repro.mapping.base import MappingGenerator
 from repro.matchers.base import BatchElementMatcher, ElementMatcher
-from repro.matchers.index import LRUMemo
 from repro.objective.base import ObjectiveFunction
 from repro.resilience.deadline import Deadline
 from repro.schema.repository import SchemaRepository
@@ -52,7 +51,7 @@ from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer, RepositoryPartition
 from repro.system.bellflower import Bellflower
-from repro.system.results import MatchResult
+from repro.system.results import MatchResult, ResultCache
 from repro.system.variants import clustering_variant
 from repro.utils.counters import ThreadSafeCounterSet
 
@@ -79,9 +78,11 @@ class MatchingService(MatcherAPIMixin):
     element_threshold, delta:
         As for :class:`~repro.system.bellflower.Bellflower`.
     query_cache_size:
-        Capacity of the result cache: final results keyed by (schema
-        fingerprint, effective ``δ``, ``top_k``, repository version).  ``0``
-        means no cache.
+        Capacity of each segment of the result cache
+        (:class:`~repro.system.results.ResultCache`): final results keyed by
+        (schema fingerprint, effective ``δ``, ``top_k``, repository version),
+        the latest answers whole and the repeated ones as compact copies.
+        ``0`` means no cache.
     partition_max_fragment_size, partition_reclustering:
         Shape of the default repository partition (ignored when ``clusterer``
         or ``variant`` is given).
@@ -135,7 +136,7 @@ class MatchingService(MatcherAPIMixin):
                 clusterer = spec.make_clusterer()
                 self._variant_name = spec.name
         self.query_cache_size = query_cache_size
-        self._result_cache = LRUMemo(query_cache_size)
+        self._result_cache = ResultCache(query_cache_size)
         # Thread-safe: the asyncio server runs concurrent queries against one
         # service instance from thread-pool workers.
         self.counters = ThreadSafeCounterSet()

@@ -193,7 +193,9 @@ def load_snapshot(
     replace the corresponding snapshot configuration; they are *required*
     where the snapshot records that a non-serializable object was in play
     (custom matcher or clusterer, partition reclustering).
-    ``query_cache_size`` replaces the recorded result-cache capacity.
+    ``query_cache_size`` replaces the recorded result-cache capacity, which
+    bounds each of the cache's two segments (see
+    :class:`~repro.system.results.ResultCache`).
 
     Each call maps the file anew and builds a fresh object graph, so two
     loaded services never observe each other's thaws and a replaced file is

@@ -84,7 +84,6 @@ from repro.mapping.engine import TopKPool, TranslatingTopKPool
 from repro.mapping.model import SchemaMapping
 from repro.mapping.ranking import merge_ranked
 from repro.matchers.base import ElementMatcher
-from repro.matchers.index import LRUMemo
 from repro.matchers.selection import MappingElement, MappingElementSets
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.serialization import tree_from_dict, tree_to_dict
@@ -94,7 +93,7 @@ from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer
 from repro.service.service import MatchingService
 from repro.shard.router import ShardRouter, SizeBalancedRouter, check_shard_count
-from repro.system.results import ClusterReport, MatchResult
+from repro.system.results import ClusterReport, MatchResult, ResultCache
 from repro.utils.counters import CounterSet, ThreadSafeCounterSet
 from repro.utils.timers import StageTimer
 
@@ -424,13 +423,15 @@ class ShardedMatchingService(MatcherAPIMixin):
         Placement policy for live :meth:`add_tree` calls (and recorded in
         manifests).  Defaults to :class:`~repro.shard.router.SizeBalancedRouter`.
     query_cache_size:
-        Capacity of the set's result cache: merged results keyed by (schema
-        fingerprint, effective ``δ``, ``top_k``, shard-set version).  ``0``
-        means no cache.  A hit returns the earlier
+        Capacity of each segment of the set's result cache
+        (:class:`~repro.system.results.ResultCache`): merged results keyed by
+        (schema fingerprint, effective ``δ``, ``top_k``, shard-set version).
+        ``0`` means no cache.  A hit in the recent segment returns the earlier
         :class:`MergedMatchResult` object without touching any shard; it
         holds the translated mappings and the shard results its candidate
-        table and cluster set are built from on first read.  The shards' own
-        caches are never used.
+        table and cluster set are built from on first read.  A hit in the
+        reused segment returns a compact copy, which holds neither the shard
+        results nor the tables.  The shards' own caches are never used.
     global_version:
         The shard-set version (manifest loads pass the manifest's value).
         Bumped by every live mutation.
@@ -466,7 +467,7 @@ class ShardedMatchingService(MatcherAPIMixin):
         self._assignment: List[int] = list(assignment)
         self.router = router or SizeBalancedRouter()
         self.query_cache_size = query_cache_size
-        self._result_cache = LRUMemo(query_cache_size)
+        self._result_cache = ResultCache(query_cache_size)
         self.global_version = global_version
         # Thread-safe: the asyncio server runs concurrent queries against one
         # service instance from thread-pool workers.

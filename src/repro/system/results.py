@@ -1,19 +1,22 @@
-"""Result objects returned by a Bellflower matching run.
+"""Result objects returned by a Bellflower matching run, and the cache that keeps them.
 
 A :class:`MatchResult` carries everything the paper's Table 1 reports for one
 (clustering variant, matching problem) pair: the ranked mappings, the
 properties of the useful clusters, the search-space size, the partial-mapping
-counters of the generator, and per-stage wall-clock times.
+counters of the generator, and per-stage wall-clock times.  A
+:class:`ResultCache` keeps final results for the batch front end to answer
+repeated queries with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 from repro.clustering.kmeans import ClusteringResult
 from repro.mapping.base import GenerationResult
 from repro.mapping.model import SchemaMapping
+from repro.matchers.index import LRUMemo
 from repro.matchers.selection import MappingElementSets
 from repro.utils.counters import CounterSet
 from repro.utils.timers import StageTimer
@@ -39,7 +42,11 @@ class MatchResult:
 
     variant_name: str
     mappings: List[SchemaMapping]
-    candidates: MappingElementSets
+    #: The element-matching table the run clustered, or ``None`` on a
+    #: compact answer (:meth:`compact`), which keeps only what a response
+    #: renders.
+    candidates: Optional[MappingElementSets]
+    #: The clusters the run searched; ``None`` on a compact answer too.
     clustering: Optional[ClusteringResult]
     generation: GenerationResult
     timers: StageTimer = field(default_factory=StageTimer)
@@ -121,6 +128,31 @@ class MatchResult:
         """
         return [(mapping.score, mapping.signature()) for mapping in self.mappings]
 
+    def compact(self) -> "MatchResult":
+        """A plain result holding only what a response renders.
+
+        The copy shares the mappings, counters, timers, cluster reports, flags
+        and rendered records, and drops the candidate table, the cluster set
+        and (on a merged shard answer) the shard results, which together hold
+        most of a result's objects.  It reads neither ``candidates`` nor
+        ``clustering``, so a merged answer builds neither table for it.
+        """
+        return MatchResult(
+            variant_name=self.variant_name,
+            mappings=self.mappings,
+            candidates=None,
+            clustering=None,
+            generation=self.generation,
+            timers=self.timers,
+            cluster_reports=self.cluster_reports,
+            counters=self.counters,
+            top_k=self.top_k,
+            partial=self.partial,
+            degraded=self.degraded,
+            skipped_shards=self.skipped_shards,
+            rendered_records=self.rendered_records,
+        )
+
     def summary(self) -> Dict[str, object]:
         """A flat dictionary used by reports and benchmark output."""
         return {
@@ -134,3 +166,40 @@ class MatchResult:
             "generation_seconds": round(self.generation_seconds, 3),
             "total_seconds": round(self.total_seconds, 3),
         }
+
+
+class ResultCache:
+    """Final results of earlier queries, in two LRU segments of ``capacity`` each.
+
+    The *recent* segment takes every whole answer and, while it holds a key,
+    answers it with the stored object.  A hit there also keeps a
+    :meth:`~MatchResult.compact` copy of the answer in the *reused* segment,
+    which goes on answering the key after one-off queries have pushed it out
+    of the recent one.  Repeats therefore keep their answers at a fraction of
+    a full result's memory, while a stream without repeats never writes the
+    reused segment and evicts exactly as one LRU of ``capacity`` would.
+    ``len()`` counts the distinct keys the two segments hold.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.recent = LRUMemo(capacity)
+        self.reused = LRUMemo(capacity)
+
+    def get(self, key: Hashable) -> Optional[MatchResult]:
+        result = self.recent.get(key)
+        if result is None:
+            return self.reused.get(key)
+        if self.reused.get(key) is None:
+            self.reused.put(key, result.compact())
+        return result
+
+    def put(self, key: Hashable, result: MatchResult) -> None:
+        self.recent.put(key, result)
+
+    def clear(self) -> None:
+        self.recent.clear()
+        self.reused.clear()
+
+    def __len__(self) -> int:
+        return len(set(self.recent.keys()).union(self.reused.keys()))

@@ -4,11 +4,16 @@ Fixtures fall into two groups: small hand-built schemas mirroring the paper's
 running example (Fig. 1), and session-scoped synthetic workloads used by the
 integration tests so the expensive generation / element-matching steps run
 once.
+
+The ``ci`` hypothesis profile (``pytest --hypothesis-profile=ci``) runs more
+examples from a fixed seed, for CI's longer run of the stateful tests; the
+default profile is hypothesis's own.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.labeling.distance import RepositoryDistanceOracle
 from repro.matchers.name import FuzzyNameMatcher
@@ -19,6 +24,8 @@ from repro.schema.repository import SchemaRepository
 from repro.schema.tree import SchemaTree
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import paper_personal_schema
+
+settings.register_profile("ci", max_examples=800, derandomize=True)
 
 
 @pytest.fixture

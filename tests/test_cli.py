@@ -78,6 +78,20 @@ class TestMatch:
         assert exit_code == 0
         assert "useful clusters" in capsys.readouterr().out
 
+    def test_the_printer_needs_no_candidate_table(self, synthetic_repository, capsys):
+        """A compact cached answer prints exactly like the result it was copied from."""
+        from repro.cli import _print_result
+
+        service = MatchingService(synthetic_repository, element_threshold=0.5)
+        personal = TreeBuilder.from_nested({"name": ["address", "email"]})
+        result = service.match(personal, delta=0.6)
+        outputs = []
+        for answer in (result, result.compact()):
+            _print_result(synthetic_repository, personal, answer, 3, 0.6, "partition")
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert f"mapping elements: {result.candidates.total()};" in outputs[0]
+
     def test_missing_repository_arguments_is_an_error(self, capsys):
         exit_code = main(["match", "--personal", '{"a": []}'])
         assert exit_code == 2
@@ -531,6 +545,11 @@ class TestShardCommands:
         # Identical rankings ⇒ identical printed mapping lines (the headers
         # name the same sizes/cluster counts too, by the equivalence).
         assert sharded_output.splitlines()[1:] == unsharded_output.splitlines()[1:]
+
+        def elements(output):
+            return output.split("mapping elements: ")[1].split(";")[0]
+
+        assert elements(sharded_output) == elements(unsharded_output) != "0"
 
     def test_batch_query_prints_one_json_line_per_query(self, shard_dir, tmp_path, capsys):
         batch_file = tmp_path / "batch.jsonl"
