@@ -12,12 +12,12 @@ sharded merged-coordinate view alike — no runtime import of any backend.
 Encoding renders each path once: a tree memoizes its nodes' root paths
 (:meth:`~repro.schema.tree.SchemaTree.root_path`), and a result keeps the
 records rendered for it (``MatchResult.rendered_records``), tagged with the
-repository version they were rendered under.  A result the result cache
-answers again therefore pays only for paging and ``to_wire``.  Sharing the
-records between queries is sound because the cache key's fingerprint hashes
-every node name and the parent structure, which is all a personal path reads;
-the version tag re-renders a result encoded after a mutation that may have
-renumbered its trees.
+repository version they were rendered under.  An answer the result cache
+stores renders its records on its first hit, so every later hit pays only
+for paging and ``to_wire``.  Sharing the records between queries is sound
+because the cache key's fingerprint hashes every node name and the parent
+structure, which is all a personal path reads; the version tag re-renders a
+result encoded after a mutation that may have renumbered its trees.
 """
 
 from __future__ import annotations

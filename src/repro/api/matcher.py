@@ -184,13 +184,14 @@ class MatcherAPIMixin:
         The one batch front end: the default batch path, and the one the
         bundled services route theirs through.  Schemas with equal
         ``_result_key`` collapse to one entry and share its result object;
-        an entry the result cache holds is answered with the stored object
-        (or, for a repeat the recent segment has let go, its compact copy);
+        an entry the result cache holds is answered with the compact copy it
+        stores (:meth:`~repro.system.results.MatchResult.compact`);
         ``compute(schemas)`` answers the remaining entries, in order, in one
-        call.  Only a whole answer is cached: a deadline-partial or degraded
-        result is not the answer its key names.  A ``None`` key (a matcher
-        that may read what the fingerprint does not hash) makes its schema
-        an entry of its own, never looked up or stored.
+        call, and their callers get the full results.  Only a whole answer is
+        cached: a deadline-partial or degraded result is not the answer its
+        key names.  A ``None`` key (a matcher that may read what the
+        fingerprint does not hash) makes its schema an entry of its own,
+        never looked up or stored.
         """
         validate_query(delta, top_k)
         effective_delta = self.delta if delta is None else delta

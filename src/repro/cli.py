@@ -90,6 +90,7 @@ from repro.schema.repository import SchemaRepository
 from repro.schema.serialization import load_repository, save_repository
 from repro.schema.xsd_parser import parse_xsd_file
 from repro.system.bellflower import Bellflower
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE
 from repro.system.variants import available_variant_names, clustering_variant
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
@@ -844,7 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
-        help="query-cache capacity override (entries; 0 disables; default: the snapshot's setting)",
+        help="result-cache capacity override, in compact answers (0 disables; "
+        "default: the snapshot's setting)",
     )
     query_parser.add_argument(
         "--timeout-ms", type=int, default=None, dest="timeout_ms",
@@ -870,7 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
-        help="query-cache capacity override (entries; 0 disables; default: the snapshot's setting)",
+        help="result-cache capacity override, in compact answers (0 disables; "
+        "default: the snapshot's setting)",
     )
     serve_parser.add_argument(
         "--drain-timeout", type=float, default=5.0, dest="drain_timeout",
@@ -896,8 +899,9 @@ def build_parser() -> argparse.ArgumentParser:
     split_parser.add_argument("--delta", type=float, default=0.7)
     split_parser.add_argument("--max-fragment-size", type=int, default=20, help="partition fragment size cap")
     split_parser.add_argument(
-        "--cache-size", type=int, default=64, dest="cache_size",
-        help="result-cache capacity of the set's front end (recorded in the shard snapshots)",
+        "--cache-size", type=int, default=DEFAULT_QUERY_CACHE_SIZE, dest="cache_size",
+        help="result-cache capacity of the set's front end, in compact answers "
+        "(recorded in the shard snapshots; default: %(default)s)",
     )
     split_parser.add_argument("--out-dir", required=True, dest="out_dir", help="directory for the shard set")
     split_parser.set_defaults(handler=_command_shard_split)
@@ -1003,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay_parser.add_argument("--json", action="store_true", help="print the full JSON report")
     trace_replay_parser.add_argument(
         "--cache-size", type=int, default=None, dest="cache_size",
-        help="query-cache capacity override (entries; 0 disables)",
+        help="result-cache capacity override, in compact answers (0 disables; "
+        "default: the snapshot's setting)",
     )
     trace_replay_parser.set_defaults(handler=_command_trace_replay)
 

@@ -66,6 +66,7 @@ def fragment_tree(tree: SchemaTree, max_fragment_size: int) -> Dict[int, int]:
         raise ClusteringError(f"max_fragment_size must be positive, got {max_fragment_size}")
     assignment: Dict[int, int] = {}
     next_fragment = 0
+    sizes = tree.subtree_sizes()
 
     def assign_subtree(node_id: int, fragment: int) -> None:
         for descendant in tree.preorder(node_id):
@@ -73,7 +74,7 @@ def fragment_tree(tree: SchemaTree, max_fragment_size: int) -> Dict[int, int]:
 
     def split(node_id: int) -> None:
         nonlocal next_fragment
-        if tree.subtree_size(node_id) <= max_fragment_size:
+        if sizes[node_id] <= max_fragment_size:
             assign_subtree(node_id, next_fragment)
             next_fragment += 1
             return

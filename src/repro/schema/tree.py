@@ -199,6 +199,19 @@ class SchemaTree:
     def subtree_size(self, node_id: int) -> int:
         return len(self.subtree_ids(node_id))
 
+    def subtree_sizes(self) -> List[int]:
+        """The subtree size of every node, by node id, in one pass.
+
+        A child's id is always greater than its parent's, so walking the ids
+        downwards adds every subtree to its parent before the parent's own
+        size is read.
+        """
+        sizes = [1] * len(self._nodes)
+        parents = self._parent
+        for node_id in range(len(sizes) - 1, 0, -1):
+            sizes[parents[node_id]] += sizes[node_id]
+        return sizes
+
     # -- ancestry and paths ---------------------------------------------------
 
     def ancestors(self, node_id: int) -> List[int]:

@@ -51,7 +51,7 @@ from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer, RepositoryPartition
 from repro.system.bellflower import Bellflower
-from repro.system.results import MatchResult, ResultCache
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE, MatchResult, ResultCache
 from repro.system.variants import clustering_variant
 from repro.utils.counters import ThreadSafeCounterSet
 
@@ -78,11 +78,11 @@ class MatchingService(MatcherAPIMixin):
     element_threshold, delta:
         As for :class:`~repro.system.bellflower.Bellflower`.
     query_cache_size:
-        Capacity of each segment of the result cache
-        (:class:`~repro.system.results.ResultCache`): final results keyed by
-        (schema fingerprint, effective ``δ``, ``top_k``, repository version),
-        the latest answers whole and the repeated ones as compact copies.
-        ``0`` means no cache.
+        Capacity of the result cache (:class:`~repro.system.results.ResultCache`):
+        the number of final results it keeps, as compact copies, keyed by
+        (schema fingerprint, effective ``δ``, ``top_k``, repository version)
+        and evicted least recently used first.  ``0`` means no cache.
+        Default ``DEFAULT_QUERY_CACHE_SIZE`` (1,024).
     partition_max_fragment_size, partition_reclustering:
         Shape of the default repository partition (ignored when ``clusterer``
         or ``variant`` is given).
@@ -101,7 +101,7 @@ class MatchingService(MatcherAPIMixin):
         variant: Optional[str] = None,
         element_threshold: float = 0.6,
         delta: float = 0.75,
-        query_cache_size: int = 64,
+        query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         partition_max_fragment_size: int = 20,
         partition_reclustering: Optional[ReclusteringStrategy] = None,
     ) -> None:

@@ -42,6 +42,7 @@ from repro.matchers.name import FuzzyNameMatcher, NGramNameMatcher, TokenNameMat
 from repro.objective.base import ObjectiveFunction
 from repro.service.partition import PartitionClusterer
 from repro.service.service import MatchingService
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE
 
 # ``repro.storage`` builds on this package (partitions, fingerprints), so its
 # modules are imported where they are used rather than at import time.
@@ -94,7 +95,7 @@ def snapshot_config(
     delta: float,
     matcher: ElementMatcher,
     variant: Optional[str] = PartitionClusterer.name,
-    query_cache_size: int = 64,
+    query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
 ) -> Dict[str, Any]:
     """The header ``config`` block that :func:`load_snapshot` rebuilds a service from.
 
@@ -193,8 +194,8 @@ def load_snapshot(
     replace the corresponding snapshot configuration; they are *required*
     where the snapshot records that a non-serializable object was in play
     (custom matcher or clusterer, partition reclustering).
-    ``query_cache_size`` replaces the recorded result-cache capacity, which
-    bounds each of the cache's two segments (see
+    ``query_cache_size`` replaces the recorded result-cache capacity: the
+    number of compact answers the cache keeps (see
     :class:`~repro.system.results.ResultCache`).
 
     Each call maps the file anew and builds a fresh object graph, so two
@@ -250,7 +251,7 @@ def load_snapshot(
         element_threshold=float(config.get("element_threshold", 0.6)),
         delta=float(config.get("delta", 0.75)),
         query_cache_size=(
-            int(config.get("query_cache_size", 64))
+            int(config.get("query_cache_size", DEFAULT_QUERY_CACHE_SIZE))
             if query_cache_size is None
             else query_cache_size
         ),

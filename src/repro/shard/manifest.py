@@ -165,9 +165,10 @@ def load_shard_set(
 ) -> ShardedMatchingService:
     """Load a sharded service from a manifest written by :func:`write_shard_set`.
 
-    ``query_cache_size`` overrides the capacity of the set's result cache,
-    which the shard snapshots record (shards inside a set never use a cache
-    of their own); ``resilience`` enables the retry/hedge/failover
+    ``query_cache_size`` overrides the capacity of the set's result cache
+    (the number of compact answers it keeps), which the shard snapshots
+    record (shards inside a set never use a cache of their own);
+    ``resilience`` enables the retry/hedge/failover
     fan-out (see :class:`~repro.shard.service.ShardedMatchingService`); other
     keyword overrides are forwarded to every
     :func:`~repro.service.snapshot.load_snapshot` call (matcher, objective,

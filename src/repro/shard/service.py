@@ -86,14 +86,14 @@ from repro.mapping.ranking import merge_ranked
 from repro.matchers.base import ElementMatcher
 from repro.matchers.selection import MappingElement, MappingElementSets
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
-from repro.schema.serialization import tree_from_dict, tree_to_dict
 from repro.resilience.fanout import ResiliencePolicy, ResilientFanout, TaskOutcome
+from repro.schema.node import SchemaNode
 from repro.schema.tree import SchemaTree
 from repro.service.fingerprint import fingerprint_covers, schema_fingerprint
 from repro.service.partition import PartitionClusterer
 from repro.service.service import MatchingService
 from repro.shard.router import ShardRouter, SizeBalancedRouter, check_shard_count
-from repro.system.results import ClusterReport, MatchResult, ResultCache
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE, ClusterReport, MatchResult, ResultCache
 from repro.utils.counters import CounterSet, ThreadSafeCounterSet
 from repro.utils.timers import StageTimer
 
@@ -106,10 +106,23 @@ def copy_tree(tree: SchemaTree) -> SchemaTree:
 
     Trees carry their registration (``tree_id``) and can belong to only one
     repository at a time, so building shard repositories from a live
-    repository copies through the serialization round-trip — the same code
-    path snapshots already trust for identity.
+    repository copies every tree: each node anew, with a fresh
+    ``properties`` dict, attached in id order through the trusted bulk path
+    the deserializers use.  The copy serializes exactly as the original.
     """
-    return tree_from_dict(tree_to_dict(tree))
+    nodes = []
+    for node in tree.nodes():
+        clone = SchemaNode.__new__(SchemaNode)
+        clone.name = node.name
+        clone.kind = node.kind
+        clone.datatype = node.datatype
+        clone.properties = dict(node.properties)
+        clone.node_id = -1
+        nodes.append(clone)
+    parents = [tree.parent_id(node_id) for node_id in tree.node_ids()]
+    copy = SchemaTree(name=tree.name)
+    copy._bulk_attach(nodes, [-1 if parent is None else parent for parent in parents])
+    return copy
 
 
 def split_repository(
@@ -423,15 +436,15 @@ class ShardedMatchingService(MatcherAPIMixin):
         Placement policy for live :meth:`add_tree` calls (and recorded in
         manifests).  Defaults to :class:`~repro.shard.router.SizeBalancedRouter`.
     query_cache_size:
-        Capacity of each segment of the set's result cache
-        (:class:`~repro.system.results.ResultCache`): merged results keyed by
-        (schema fingerprint, effective ``δ``, ``top_k``, shard-set version).
-        ``0`` means no cache.  A hit in the recent segment returns the earlier
-        :class:`MergedMatchResult` object without touching any shard; it
-        holds the translated mappings and the shard results its candidate
-        table and cluster set are built from on first read.  A hit in the
-        reused segment returns a compact copy, which holds neither the shard
-        results nor the tables.  The shards' own caches are never used.
+        Capacity of the set's result cache
+        (:class:`~repro.system.results.ResultCache`): the number of merged
+        results it keeps, keyed by (schema fingerprint, effective ``δ``,
+        ``top_k``, shard-set version) and evicted least recently used first.
+        ``0`` means no cache.  A miss returns the :class:`MergedMatchResult`;
+        a hit returns the compact copy the cache stored, without touching
+        any shard, and that copy holds neither the shard results nor the
+        tables built from them.  The shards' own caches are never used.
+        Default ``DEFAULT_QUERY_CACHE_SIZE`` (1,024).
     global_version:
         The shard-set version (manifest loads pass the manifest's value).
         Bumped by every live mutation.
@@ -453,7 +466,7 @@ class ShardedMatchingService(MatcherAPIMixin):
         assignment: Sequence[int],
         *,
         router: Optional[ShardRouter] = None,
-        query_cache_size: int = 64,
+        query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         global_version: int = 1,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
@@ -593,7 +606,7 @@ class ShardedMatchingService(MatcherAPIMixin):
         matcher: Optional[ElementMatcher] = None,
         element_threshold: float = 0.6,
         delta: float = 0.75,
-        query_cache_size: int = 64,
+        query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         partition_max_fragment_size: int = 20,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> "ShardedMatchingService":

@@ -4,8 +4,8 @@ A :class:`MatchResult` carries everything the paper's Table 1 reports for one
 (clustering variant, matching problem) pair: the ranked mappings, the
 properties of the useful clusters, the search-space size, the partial-mapping
 counters of the generator, and per-stage wall-clock times.  A
-:class:`ResultCache` keeps final results for the batch front end to answer
-repeated queries with.
+:class:`ResultCache` keeps compact copies of final results for the batch front
+end to answer repeated queries with.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ class MatchResult:
     skipped_shards: Tuple[int, ...] = ()
     #: Wire records :func:`repro.api.encode.match_response` rendered for this
     #: result: ``(repository version, records by rank)``, ``None`` at ranks
-    #: no page has shown yet.  A result the result cache shares keeps them,
-    #: so a repeated query pays only for paging.
+    #: no page has shown yet.  The compact copy the result cache stores
+    #: renders its own on its first hit and keeps them, so later repeats pay
+    #: only for paging.
     rendered_records: Optional[Tuple[int, List[Optional["MappingRecord"]]]] = field(
         default=None, repr=False, compare=False
     )
@@ -168,38 +169,17 @@ class MatchResult:
         }
 
 
-class ResultCache:
-    """Final results of earlier queries, in two LRU segments of ``capacity`` each.
+#: Entries a result cache keeps unless ``query_cache_size`` says otherwise.
+DEFAULT_QUERY_CACHE_SIZE = 1024
 
-    The *recent* segment takes every whole answer and, while it holds a key,
-    answers it with the stored object.  A hit there also keeps a
-    :meth:`~MatchResult.compact` copy of the answer in the *reused* segment,
-    which goes on answering the key after one-off queries have pushed it out
-    of the recent one.  Repeats therefore keep their answers at a fraction of
-    a full result's memory, while a stream without repeats never writes the
-    reused segment and evicts exactly as one LRU of ``capacity`` would.
-    ``len()`` counts the distinct keys the two segments hold.
+
+class ResultCache(LRUMemo):
+    """Final results of earlier queries: one LRU of ``capacity`` compact answers.
+
+    ``put`` stores the answer's :meth:`~MatchResult.compact` copy, never the
+    answer itself, so an entry holds no candidate table, no cluster set and
+    no shard results, and a hit returns the stored copy.
     """
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.recent = LRUMemo(capacity)
-        self.reused = LRUMemo(capacity)
-
-    def get(self, key: Hashable) -> Optional[MatchResult]:
-        result = self.recent.get(key)
-        if result is None:
-            return self.reused.get(key)
-        if self.reused.get(key) is None:
-            self.reused.put(key, result.compact())
-        return result
-
     def put(self, key: Hashable, result: MatchResult) -> None:
-        self.recent.put(key, result)
-
-    def clear(self) -> None:
-        self.recent.clear()
-        self.reused.clear()
-
-    def __len__(self) -> int:
-        return len(set(self.recent.keys()).union(self.reused.keys()))
+        super().put(key, result.compact())

@@ -100,3 +100,9 @@ def test_memoized_root_paths_join_the_root_path_names(tree, data):
     for node_id in tree.node_ids():
         assert tree.root_path(node_id) == "/" + "/".join(tree.root_path_names(node_id))
     assert tree.root_path(child) == tree.root_path(parent) + "/appended"
+
+
+@given(random_trees())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_subtree_sizes_equal_each_subtree_walk(tree):
+    assert tree.subtree_sizes() == [tree.subtree_size(node_id) for node_id in tree.node_ids()]

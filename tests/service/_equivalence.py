@@ -8,6 +8,9 @@ runnable standalone.)
 
 from __future__ import annotations
 
+from repro.api.encode import match_response
+from repro.api.envelope import MatchOptions
+
 
 def result_key(result):
     """Ranked mappings as (score, signature) pairs — the mapping identity."""
@@ -53,3 +56,20 @@ def counters_key(result):
     """The result's counter set as a sorted, comparable tuple."""
     return tuple(sorted(result.counters.as_dict().items()))
 
+
+def response_key(repository, personal, result):
+    """The wire form a result encodes to, explain report and timings included."""
+    return match_response(repository, personal, result, MatchOptions(explain=True)).to_wire()
+
+
+def assert_hit_answers_as_cold(warm, cold, repository, personal):
+    """A hit's stored compact copy ranks, scores and encodes as the cold answer.
+
+    The copy holds neither the candidate table nor the clusters, and is not
+    the object the cold query returned.
+    """
+    assert warm is not cold
+    assert warm.candidates is None and warm.clustering is None
+    assert result_key(warm) == result_key(cold)
+    assert path_records_key(warm) == path_records_key(cold)
+    assert response_key(repository, personal, warm) == response_key(repository, personal, cold)

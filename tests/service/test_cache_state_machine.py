@@ -3,12 +3,12 @@
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` sends random sequences
 of match, batch and mutation lines through :class:`RequestDispatcher` to a
 cached backend (a :class:`MatchingService` or a two-shard set, with
-``query_cache_size`` 1 or 2) and to the same backend without a cache.  Such
-small segments make one-off queries push repeats out of the recent segment
-often, so the reused segment's compact copies answer many of the repeats.
-After every step each answer must equal the twin's: the ranking, path records
-and counters of the result it was encoded from, and the response line with
-its ``timings`` removed.
+``query_cache_size`` 1 or 2) and to the same backend without a cache.  So
+small a cache evicts often, and its hits answer with the compact copies it
+stores, never with the result the miss computed.  After every step each
+answer must equal the twin's: the ranking, path records and counters of the
+result it was encoded from, and the response line with its ``timings``
+removed.
 
 An example serves up to thirty lines, twice, so the machine runs an eighth
 of the loaded profile's ``max_examples``: a bounded run in tier-1's default
@@ -190,10 +190,9 @@ class ResultCacheMachine(RuleBasedStateMachine):
         self.serve({"v": 1, "kind": "mutation", "action": "remove", "tree_id": tree_id})
 
     @invariant()
-    def segments_stay_bounded(self):
+    def cache_stays_bounded(self):
         cache = self.cached.matcher._result_cache
-        assert len(cache.recent) <= cache.capacity
-        assert len(cache.reused) <= cache.capacity
+        assert len(cache) <= cache.capacity
 
 
 ResultCacheMachine.TestCase.settings = settings(

@@ -21,7 +21,7 @@ from repro.service.partition import tree_fragments
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
-from _equivalence import counters_key, path_records_key, result_key
+from _equivalence import assert_hit_answers_as_cold, counters_key, path_records_key, result_key
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +42,16 @@ def _repository(seed, name):
 class TestQueryCache:
     def test_repeated_query_hits_and_is_bit_identical(self, service_repository):
         service = MatchingService(service_repository, element_threshold=0.5)
-        cold = service.match(paper_personal_schema())
-        warm = service.match(paper_personal_schema())
+        schema = paper_personal_schema()
+        cold = service.match(schema)
+        warm = service.match(schema)
         assert service.counters.get("query_cache_misses") == 1
         assert service.counters.get("query_cache_hits") == 1
-        assert result_key(cold) == result_key(warm)
-        # A hit answers with the stored result object: no stage runs again.
-        assert warm is cold
+        # A hit answers with the compact copy the cache stored: no stage runs
+        # again, and every later hit returns that same object.
+        assert_hit_answers_as_cold(warm, cold, service.repository, schema)
+        assert service.match(paper_personal_schema()) is warm
+        assert service.counters.get("query_cache_hits") == 2
 
     def test_structurally_identical_schemas_share_an_entry(self, service_repository):
         service = MatchingService(service_repository, element_threshold=0.5)
@@ -198,8 +201,12 @@ class TestQueryCacheKeying:
         assert service.counters.get("query_cache_misses") == 2
         assert service.counters.get("query_cache_hits") == 0
         assert service.query_cache_len == 2
-        assert other() is second
+        warm = other()
         assert service.counters.get("query_cache_hits") == 1
+        personal = contact_personal_schema() if component == "fingerprint" else paper_personal_schema()
+        assert_hit_answers_as_cold(warm, second, service.repository, personal)
+        assert other() is warm
+        assert service.counters.get("query_cache_hits") == 2
 
     def test_delta_override_is_a_distinct_cache_entry(self, service_repository):
         service = MatchingService(service_repository, element_threshold=0.5)
@@ -282,9 +289,13 @@ class TestTopKQueries:
         complete = service.match(schema)
         top = service.match(schema, top_k=1)  # a ranking per top_k: a miss
         assert service.counters.get("query_cache_hits") == 0
-        assert service.match(schema, top_k=1) is top
-        assert service.match(schema) is complete
+        warm_top = service.match(schema, top_k=1)
+        warm_complete = service.match(schema)
         assert service.counters.get("query_cache_hits") == 2
+        assert_hit_answers_as_cold(warm_top, top, service.repository, schema)
+        assert_hit_answers_as_cold(warm_complete, complete, service.repository, schema)
+        assert service.match(schema, top_k=1) is warm_top
+        assert service.match(schema) is warm_complete
         assert result_key(top) == result_key(complete)[:1]
 
 

@@ -83,10 +83,13 @@ class TestSnapshotRoundTrip:
 
     def test_snapshot_bytes_are_pinned(self, tmp_path):
         # The file's byte layout is part of FROZEN_VERSION 1: a change here
-        # must bump the version, then update this digest.
+        # must bump the version, then update this digest.  The capacity is
+        # explicit, so the digest follows the layout, not the default
+        # capacity the header records.
         profile = RepositoryProfile(target_node_count=2000, seed=5, name="b")
         path = tmp_path / "snapshot.frozen"
-        write_snapshot(MatchingService(RepositoryGenerator(profile).generate()), path)
+        service = MatchingService(RepositoryGenerator(profile).generate(), query_cache_size=64)
+        write_snapshot(service, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1866a5dbd86d2731234c644c7884fe981ed133a01d5cf7f2fa542757dda2331d"
         )

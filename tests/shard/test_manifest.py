@@ -84,7 +84,10 @@ class TestRoundTrip:
         assert loaded.query_cache_size == 5
         assert loaded.stats()["query_cache_capacity"] == 5
         first = loaded.match(paper_personal_schema())
-        assert loaded.match(paper_personal_schema()) is first
+        second = loaded.match(paper_personal_schema())
+        assert second.ranking_key() == first.ranking_key()
+        assert loaded.match(paper_personal_schema()) is second
+        assert loaded.counters.get("query_cache_hits") == 2
         assert loaded.query_cache_len == 1
         assert all(shard.query_cache_len == 0 for shard in loaded.shards)
 

@@ -58,8 +58,12 @@ class TestFrontEndCache:
         schema = paper_personal_schema()
         first = service.match_many([schema])[0]
         second = service.match_many([schema])[0]
-        assert second is first
-        assert service.counters.get("query_cache_hits") == 1
+        # A hit answers with the compact copy the cache stored, and every
+        # later hit with that same copy.
+        assert second is not first and second.candidates is None
+        assert second.ranking_key() == first.ranking_key()
+        assert service.match_many([schema])[0] is second
+        assert service.counters.get("query_cache_hits") == 2
         assert service.counters.get("shard_queries") == service.shard_count  # only the miss fanned out
 
     def test_delta_and_top_k_are_part_of_the_key(self, service):

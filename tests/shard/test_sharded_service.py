@@ -25,6 +25,7 @@ from repro.shard import (
     merged_repository,
     split_repository,
 )
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE
 from repro.workload.personal import paper_personal_schema
 
 THRESHOLD = 0.5
@@ -290,7 +291,7 @@ class TestViewAndStats:
         assert stats["shards"] == 3
         assert stats["trees"] == shard_repository.tree_count
         assert "executor" not in stats
-        assert stats["query_cache_capacity"] == 64
+        assert stats["query_cache_capacity"] == DEFAULT_QUERY_CACHE_SIZE
         assert len(stats["per_shard"]) == 3
         assert sum(entry["trees"] for entry in stats["per_shard"]) == shard_repository.tree_count
         for shard_id, entry in enumerate(stats["per_shard"]):

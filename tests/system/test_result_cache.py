@@ -1,9 +1,9 @@
-"""The two-segment result cache and the compact answers it keeps.
+"""The result cache: one LRU of compact answers.
 
-The claims the cache rests on: a stream without repeats uses it exactly like
-one LRU of its capacity, a compact answer holds none of the tables a full
-result keeps, it renders to the same wire form, and on Zipf traffic the
-cache answers at least as many requests as one LRU.
+The claims the cache rests on: it keeps and evicts keys exactly as one LRU of
+its capacity, a stored answer holds none of the tables a full result keeps,
+it renders to the same wire form, and on Zipf traffic the default capacity
+answers at least as many requests as the two segments of 64 it replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.schema.builder import TreeBuilder
 from repro.service import MatchingService
 from repro.shard import ShardedMatchingService
 from repro.shard.service import MergedMatchResult
-from repro.system.results import MatchResult, ResultCache
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE, MatchResult, ResultCache
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
 PERSON = {"person": ["name", "email", "address"]}
@@ -54,40 +54,57 @@ def serve(cache, key):
     return True
 
 
+class TwoSegments:
+    """The cache this one replaced, for comparison: whole answers in a recent
+    LRU, and a copy of each answer hit there in a reused LRU that outlives it."""
+
+    def __init__(self, capacity):
+        self.recent, self.reused = LRUMemo(capacity), LRUMemo(capacity)
+
+    def get(self, key):
+        result = self.recent.get(key)
+        if result is None:
+            return self.reused.get(key)
+        if self.reused.get(key) is None:
+            self.reused.put(key, result)
+        return result
+
+    def put(self, key, result):
+        self.recent.put(key, result)
+
+
 @given(
     capacity=st.integers(min_value=0, max_value=8),
-    keys=st.lists(st.integers(), unique=True, max_size=40),
+    keys=st.lists(st.integers(min_value=0, max_value=12), max_size=60),
 )
-def test_a_stream_without_repeats_evicts_like_one_lru(capacity, keys):
+def test_the_cache_keeps_the_keys_of_one_lru(capacity, keys):
     cache, lru = ResultCache(capacity), LRUMemo(capacity)
     for key in keys:
-        serve(cache, key)
-        serve(lru, key)
-        assert cache.recent.keys() == lru.keys()
-        assert len(cache.reused) == 0
-    assert len(cache) == len(lru)
+        assert serve(cache, key) == serve(lru, key)
+        assert cache.keys() == lru.keys()
+    assert len(cache) == len(lru) <= capacity
 
 
-def test_a_repeat_outlives_the_recent_segment_as_a_compact_copy():
+def test_a_hit_returns_the_stored_compact_copy():
     cache = ResultCache(1)
     full = placeholder()
     cache.put("a", full)
-    assert cache.get("a") is full  # a recent hit answers with the stored object
-    cache.put("b", placeholder())  # ... and "a" leaves the recent segment
     compact = cache.get("a")
-    assert compact is not None and compact is not full
-    assert cache.recent.keys() == ["b"] and cache.reused.keys() == ["a"]
-    assert len(cache) == 2
+    assert type(compact) is MatchResult and compact is not full
+    assert compact.variant_name == full.variant_name
+    assert cache.get("a") is compact  # every later hit returns the same copy
+    cache.put("b", placeholder())  # ... until a one-entry cache lets "a" go
+    assert cache.get("a") is None and cache.keys() == ["b"]
     cache.clear()
-    assert len(cache) == 0 and cache.get("a") is None
+    assert len(cache) == 0 and cache.get("b") is None
 
 
-def test_zipf_traffic_hits_at_least_as_often_as_one_lru():
+def test_zipf_traffic_hits_at_least_as_often_as_the_two_segments_it_replaced():
     rng = random.Random(11)
     keys = range(2000)
     stream = rng.choices(keys, [1 / (key + 1) ** 1.1 for key in keys], k=5000)
-    two_segments, lru = ResultCache(64), LRUMemo(64)
-    hits = [sum(serve(cache, key) for key in stream) for cache in (two_segments, lru)]
+    one_lru, two_segments = ResultCache(DEFAULT_QUERY_CACHE_SIZE), TwoSegments(64)
+    hits = [sum(serve(cache, key) for key in stream) for cache in (one_lru, two_segments)]
     assert hits[0] >= hits[1]
 
 
@@ -117,8 +134,7 @@ def test_racing_threads_get_each_key_its_own_answer():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert len(cache.recent) <= 4 and len(cache.reused) <= 4
-    assert len(cache.reused) > 0
+    assert 0 < len(cache) <= 4
 
 
 # -- compact answers of real results ------------------------------------------
@@ -126,7 +142,7 @@ def test_racing_threads_get_each_key_its_own_answer():
 
 @pytest.fixture(params=["service", "shards"])
 def backend(request):
-    """A backend whose result cache keeps one entry per segment."""
+    """A backend whose result cache keeps one entry."""
     profile = RepositoryProfile(
         target_node_count=800, min_tree_size=10, max_tree_size=60, seed=11, name="compact"
     )
@@ -167,15 +183,14 @@ def tables(objects, root):
 
 
 def test_a_served_repeat_reaches_no_table(backend):
-    """Ask A, A, B, A of a one-entry cache: the last answer is the compact copy."""
+    """Ask A, A, A, B, A of a one-entry cache: the hits share one compact copy."""
     person, other = (TreeBuilder.from_nested(schema) for schema in (PERSON, OTHER))
     full = backend.match(person)
-    assert backend.match(person) is full
-    backend.match(other)
     compact = backend.match(person)
+    assert backend.match(person) is compact
     assert backend.counters.get("query_cache_hits") == 2
-    assert backend.query_cache_len == 2  # "other" in the recent segment, "person" reused
-    assert type(compact) is MatchResult
+    assert backend.query_cache_len == 1
+    assert type(compact) is MatchResult and compact is not full
     assert compact.candidates is None and compact.clustering is None
     assert compact.ranking_key() == full.ranking_key()
     assert tables(reachable(compact), compact) == []
@@ -186,6 +201,11 @@ def test_a_served_repeat_reaches_no_table(backend):
         found = tables(reachable(full), full)
         assert any(isinstance(item, MappingElementSets) for item in found)
         assert any(isinstance(item, ClusterSet) for item in found)
+    # "other" takes the one entry, so A is computed again.
+    backend.match(other)
+    again = backend.match(person)
+    assert again is not compact and again.ranking_key() == full.ranking_key()
+    assert backend.counters.get("query_cache_misses") == 3
 
 
 def test_compact_answers_render_like_the_full_result(backend):

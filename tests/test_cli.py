@@ -12,6 +12,7 @@ from repro.cli import main, serve_loop
 from repro.schema.builder import TreeBuilder
 from repro.schema.serialization import save_repository
 from repro.service import MatchingService
+from repro.system.results import DEFAULT_QUERY_CACHE_SIZE
 from repro.workload.corpus import bundled_corpus_documents
 
 
@@ -484,7 +485,7 @@ class TestServeLoop:
         (response,) = _serve(service, ['{"v": 1, "kind": "stats"}'])
         stats = response["stats"]
         assert "executor" not in stats
-        assert stats["query_cache_capacity"] == 64
+        assert stats["query_cache_capacity"] == DEFAULT_QUERY_CACHE_SIZE
         assert "repository_version" in stats
 
 
